@@ -57,7 +57,8 @@ int tmcv_get_wait_morphing(void);
 /* TM backend selection (see docs/BACKENDS.md).
  *
  * tmcv_tm_set_backend pins the process-wide default to a fixed backend by
- * label ("eager", "lazy", "htm", "hybrid", "norec"); the switch happens at
+ * label ("eager", "lazy", "htm", "norec") or to the "hybrid" retry ladder
+ * (hardware attempts, then eager, then serial); the switch happens at
  * a quiescence point (every in-flight transaction drains first) and the
  * adaptive controller, if running, is stopped.  Returns 0 on success, -1
  * on an unknown label.  Must not be called from inside a transaction.

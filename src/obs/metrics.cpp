@@ -209,7 +209,8 @@ std::string to_json(const MetricsSnapshot& s) {
   // skip it; tmcv-top and the backend-smoke CI step read it).
   os << ",\n    \"aborts_by_backend\": {";
   for (std::size_t b = 0; b < tm::kStatsBackends; ++b) {
-    os << (b ? ", " : "") << "\"" << tm::stats_backend_label(b) << "\": {";
+    os << (b ? ", " : "") << "\""
+       << tm::backend_label(static_cast<tm::Backend>(b)) << "\": {";
     for (std::size_t r = 0; r < tm::kStatsAbortReasons; ++r)
       os << (r ? ", " : "") << "\"" << tm::stats_abort_reason_label(r)
          << "\": " << s.tm.aborts_by_backend[b][r];
@@ -354,7 +355,8 @@ std::string to_prometheus(const MetricsSnapshot& s) {
       // process total.
       for (std::size_t b = 0; b < tm::kStatsBackends; ++b)
         for (std::size_t r = 0; r < tm::kStatsAbortReasons; ++r)
-          os << metric << "{backend=\"" << tm::stats_backend_label(b)
+          os << metric << "{backend=\""
+             << tm::backend_label(static_cast<tm::Backend>(b))
              << "\",reason=\"" << tm::stats_abort_reason_label(r) << "\"} "
              << s.tm.aborts_by_backend[b][r] << "\n";
     }

@@ -16,7 +16,7 @@ namespace tmcv::tm {
 // the serial lock (draining every in-flight optimistic transaction),
 // stores the new default, releases.  Transactions beginning after the
 // drain observe the new default via begin_top's resolution; combined with
-// the NOrec family override (algs::resolve_backend) this guarantees NOrec
+// the NOrec family override (resolve_backend) this guarantees NOrec
 // and orec-family transactions never overlap.  Returns true if the default
 // actually changed.  Must not be called inside a transaction.
 bool set_backend(Backend b);

@@ -16,7 +16,7 @@
 // write-back holds the counter odd for its whole duration.
 #include "tm/algs/norec.h"
 
-#include "tm/algs/policy.h"
+#include "tm/descriptor.h"
 #include "util/cacheline.h"
 
 namespace tmcv::tm {
@@ -74,8 +74,8 @@ std::uint64_t TxDescriptor::norec_validate() {
 
 bool TxDescriptor::reads_valid_norec() const noexcept {
   // Non-aborting, non-advancing variant for retry_and_wait: report whether
-  // the snapshot still holds without moving start_time_ (const contract of
-  // the validate method row).
+  // the snapshot still holds without moving start_time_ (the const
+  // reads_valid contract).
   auto& clk = algs::norec_clock();
   for (;;) {
     const std::uint64_t t = algs::norec_begin_snapshot();

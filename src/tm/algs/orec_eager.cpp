@@ -1,8 +1,8 @@
 // EagerSTM write barrier and commit protocol (also used by the HTM
 // emulation, which layers capacity/chaos/syscall aborts on top).
-// Encounter-time locking, write-through with an undo log: the method-table
-// row for Backend::EagerSTM and Backend::HTM points here.
-#include "tm/algs/policy.h"
+// Encounter-time locking, write-through with an undo log: write_word and
+// commit_top route Backend::EagerSTM and Backend::HTM here.
+#include "tm/descriptor.h"
 #include "tm/clock.h"
 
 namespace tmcv::tm {

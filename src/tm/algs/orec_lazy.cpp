@@ -4,7 +4,7 @@
 // touches the orecs at commit).
 #include <algorithm>
 
-#include "tm/algs/policy.h"
+#include "tm/descriptor.h"
 #include "tm/clock.h"
 
 namespace tmcv::tm {

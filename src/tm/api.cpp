@@ -38,6 +38,12 @@ Backend default_backend() noexcept {
   return g_default_backend.load(std::memory_order_acquire);
 }
 
+Backend resolve_backend(Backend req) noexcept {
+  if (default_backend() == Backend::NOrec) return Backend::NOrec;
+  if (req == Backend::NOrec) return Backend::LazySTM;
+  return req;
+}
+
 namespace detail {
 
 void retry_sleep(std::uint32_t observed) noexcept {

@@ -13,10 +13,11 @@
 // Contention management (tm/cm.h): jittered exponential backoff between
 // retries, escalation to the serial-irrevocable mode after a bounded number
 // of attempts *or* a run of consecutive conflict aborts, which guarantees
-// progress even on heavily oversubscribed machines.  The HTM backend sizes
-// its attempt budget from the global fallback-pressure hysteresis and gives
-// up immediately on aborts retrying cannot fix (capacity, syscall),
-// emulating RTM's lock-elision fallback discipline.
+// progress even on heavily oversubscribed machines.  Hardware attempts are
+// budgeted by the global fallback-pressure hysteresis and give up
+// immediately on aborts retrying cannot fix (capacity, syscall), emulating
+// RTM's lock-elision fallback discipline.  Backend::Hybrid puts a software
+// rung between the hardware attempts and the serial lock.
 //
 // Thread-safety note on statistics: stats_snapshot is safe to call while
 // threads run and exit -- the registry serializes thread-exit folds against
@@ -30,7 +31,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "tm/algs/policy.h"
 #include "tm/descriptor.h"
 
 namespace tmcv::tm {
@@ -38,6 +38,17 @@ namespace tmcv::tm {
 // Process-wide default backend for transactions that do not name one.
 void set_default_backend(Backend b) noexcept;
 [[nodiscard]] Backend default_backend() noexcept;
+
+// Map a requested backend to the one that will actually run, given the
+// process-wide default.  NOrec detects conflicts by value against its own
+// counter and ignores orecs entirely, so NOrec and orec-family transactions
+// must never overlap on shared data.  The rule: while the default is NOrec,
+// EVERY optimistic transaction (including explicit atomically(Backend::X)
+// requests) runs NOrec; while the default is an orec backend, an explicit
+// NOrec request is coerced to LazySTM (same redo-log write semantics).
+// begin_top applies this after publishing activity, which makes it
+// race-free across quiesced backend switches.
+[[nodiscard]] Backend resolve_backend(Backend req) noexcept;
 
 [[nodiscard]] inline bool in_txn() noexcept { return descriptor().in_txn(); }
 
@@ -130,55 +141,6 @@ void retry_sleep(std::uint32_t observed) noexcept;
 template <typename F>
 void run_optimistic(Backend backend, F&& fn) {
   TxDescriptor& d = descriptor();
-  // Pre-resolve against the process default so the Hybrid hardware-attempt
-  // policy below sees the effective backend: under a NOrec default every
-  // request (including Hybrid) coerces to NOrec and the HW budget loop is
-  // skipped.  A stale read here is harmless -- begin_top re-resolves
-  // authoritatively after publishing activity, which is the race-free point.
-  backend = algs::resolve_backend(backend);
-  if (backend == Backend::Hybrid && !d.in_txn()) {
-    // Hybrid policy: a few hardware attempts (sized by the global
-    // fallback-pressure hysteresis, so a fallback storm shrinks everyone's
-    // budget instead of letting the whole fleet lemming into the lock), then
-    // software, then (via the EagerSTM budget below) the serial lock.
-    // Capacity and syscall aborts are deterministic for a given closure:
-    // retrying in hardware cannot succeed, so they forfeit the remaining
-    // hardware budget immediately.  TxAbort from the HTM attempts is
-    // consumed here; anything else propagates.
-    const int hw_budget = htm_attempt_budget();
-    for (int attempt = 1; attempt <= hw_budget; ++attempt) {
-      d.begin_top(Backend::HTM);
-      try {
-        fn();
-        d.commit_top();
-        note_htm_commit();
-        return;
-      } catch (const TxAbort& abort) {
-        d.after_abort();
-        if (abort.reason == TxAbort::Reason::RetryWait) {
-          retry_sleep(static_cast<std::uint32_t>(abort.retry_signal));
-          --attempt;
-        } else if (abort.reason == TxAbort::Reason::Capacity ||
-                   abort.reason == TxAbort::Reason::Syscall) {
-          break;  // hardware cannot run this closure; stop burning attempts
-        } else {
-          d.backoff_for_retry();
-        }
-      } catch (...) {
-        if (d.in_txn()) {
-          try {
-            d.abort_restart(TxAbort::Reason::Explicit);
-          } catch (const TxAbort&) {
-          }
-        }
-        throw;
-      }
-    }
-    note_htm_fallback();
-    backend = Backend::EagerSTM;  // software fallback
-  } else if (backend == Backend::Hybrid) {
-    backend = Backend::EagerSTM;  // nested: merge into the software nest
-  }
   if (d.in_txn()) {
     // Flat nesting: merge into the enclosing transaction.  TxAbort from the
     // body must propagate to the outermost retry loop untouched.
@@ -194,26 +156,48 @@ void run_optimistic(Backend backend, F&& fn) {
     if (d.in_txn()) d.pop_nested();  // a split WAIT may have closed the txn
     return;
   }
-  const int budget = backend == Backend::HTM ? htm_attempt_budget()
-                                             : kStmAttemptsBeforeSerial;
+  // The escalation ladder.  Hybrid: hardware attempts, then EagerSTM, then
+  // the serial lock.  HTM: hardware attempts, then serial (the paper's
+  // Haswell configuration).  Every other backend: itself, then serial.
+  // Resolving first collapses every ladder to NOrec-then-serial under a
+  // NOrec default; a stale read is harmless, since begin_top re-resolves
+  // after publishing activity, which is the race-free point.
+  backend = resolve_backend(backend);
+  // Hybrid's software rung, still ahead while the hardware rung runs.
+  bool software_rung_left = backend == Backend::Hybrid;
+  Backend rung = software_rung_left ? Backend::HTM : backend;
+  // Hardware budgets come from the global fallback-pressure hysteresis, so
+  // a fallback storm shrinks everyone's budget instead of letting the whole
+  // fleet lemming into the lock.
+  int budget = rung == Backend::HTM ? htm_attempt_budget()
+                                    : kStmAttemptsBeforeSerial;
   // Closures that ever executed retry_wait are *waiting*, not livelocked:
   // they must never escalate to the serial lock (a serial closure blocks
   // every other thread, so the awaited predicate could never become true).
   bool has_retry_waited = false;
   // Hardware aborts that retrying cannot fix (capacity, syscall) skip the
-  // rest of the budget and escalate on the next loop head.
+  // rest of the rung's budget.
   bool hard_fail = false;
   for (int attempt = 1;; ++attempt) {
-    if ((attempt > budget || hard_fail || d.cm().wants_serial()) &&
-        !has_retry_waited) {
-      // Escalate: run irrevocably under the serial lock.
+    const bool spent = attempt > budget || hard_fail;
+    if (spent && software_rung_left) {
+      // Hardware gave up on this closure: step down to software.
+      note_htm_fallback();
+      software_rung_left = false;
+      rung = Backend::EagerSTM;
+      budget = kStmAttemptsBeforeSerial;
+      attempt = 1;
+      hard_fail = false;
+    } else if ((spent || d.cm().wants_serial()) && !has_retry_waited) {
+      // Escalate: run irrevocably under the serial lock.  A conflict streak
+      // at the CM limit escalates from any rung.
       ++d.stats().serial_fallbacks;
       // A conflict streak hitting the CM limit before the attempt budget is
       // exhausted is the adaptive (karma-style) escalation; count it apart
       // from plain budget exhaustion.
-      if (!hard_fail && attempt <= budget) ++d.stats().cm_serial_escalations;
+      if (!spent) ++d.stats().cm_serial_escalations;
       cm_note_serial_escalation(d.txn_site());
-      if (backend == Backend::HTM) note_htm_fallback();
+      if (rung == Backend::HTM) note_htm_fallback();
       d.begin_serial();
       try {
         fn();
@@ -227,24 +211,24 @@ void run_optimistic(Backend backend, F&& fn) {
       d.commit_top();
       return;
     }
-    d.begin_top(backend);
+    d.begin_top(rung);
     try {
       fn();
       d.commit_top();
-      if (backend == Backend::HTM) note_htm_commit();
+      if (rung == Backend::HTM) note_htm_commit();
       return;
     } catch (const TxAbort& abort) {
-      d.after_abort();
       if (abort.reason == TxAbort::Reason::RetryWait) {
         // Deliberate waiting, not contention: park until a commit, and do
-        // not let the wait count toward serial escalation.
+        // not let the wait count toward escalation.
         has_retry_waited = true;
         retry_sleep(static_cast<std::uint32_t>(abort.retry_signal));
         --attempt;
-      } else if (backend == Backend::HTM &&
-                 (abort.reason == TxAbort::Reason::Capacity ||
-                  abort.reason == TxAbort::Reason::Syscall)) {
-        hard_fail = true;  // deterministic hardware failure: go serial now
+      } else if (abort.reason == TxAbort::Reason::Capacity ||
+                 abort.reason == TxAbort::Reason::Syscall) {
+        // Only hardware attempts raise these, and they are deterministic
+        // for the closure: leave the rung now.
+        hard_fail = true;
       } else {
         d.backoff_for_retry();
       }

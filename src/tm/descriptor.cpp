@@ -8,7 +8,7 @@
 #include "obs/hooks.h"
 #include "sync/futex.h"
 #include "sync/semaphore.h"
-#include "tm/algs/policy.h"
+#include "tm/api.h"
 #include "tm/registry.h"
 #include "tm/serial.h"
 #include "util/backoff.h"
@@ -39,16 +39,17 @@ const char* to_string(Backend b) noexcept {
       return "LazySTM";
     case Backend::HTM:
       return "HTM";
-    case Backend::Hybrid:
-      return "Hybrid";
     case Backend::NOrec:
       return "NOrec";
+    case Backend::Hybrid:
+      return "Hybrid";
   }
   return "?";
 }
 
-// The stats matrix axes must track the enums they label.
-static_assert(kBackendCount == kStatsBackends);
+// The stats matrix axes must track the enums they label: one row per
+// backend a descriptor runs, which excludes the trailing Hybrid request.
+static_assert(static_cast<std::size_t>(Backend::Hybrid) == kStatsBackends);
 static_assert(static_cast<std::size_t>(TxAbort::Reason::RetryWait) + 1 ==
               kStatsAbortReasons);
 
@@ -60,10 +61,10 @@ const char* backend_label(Backend b) noexcept {
       return "lazy";
     case Backend::HTM:
       return "htm";
-    case Backend::Hybrid:
-      return "hybrid";
     case Backend::NOrec:
       return "norec";
+    case Backend::Hybrid:
+      return "hybrid";
   }
   return "?";
 }
@@ -85,7 +86,6 @@ bool backend_from_label(const char* s, Backend& out) noexcept {
 }
 
 TxDescriptor::TxDescriptor() : slot_(0) {
-  alg_ = &alg_methods(Backend::EagerSTM);
   rs_storage_ = std::make_unique<ReadEntry[]>(kInitialLogCapacity);
   rs_base_ = rs_end_ = rs_storage_.get();
   rs_cap_ = rs_base_ + (kInitialLogCapacity - 1);  // one slack slot
@@ -229,11 +229,11 @@ void TxDescriptor::begin_top(Backend b, std::uint32_t depth) {
   // every in-flight optimistic transaction through the serial lock, so a
   // transaction that begins after the drain is guaranteed to observe the
   // new default -- no orec-family transaction can overlap a NOrec one.
-  b = algs::resolve_backend(b);
+  b = resolve_backend(b);
+  // Hybrid is a retry-loop request; a descriptor only runs its rungs.
   TMCV_DEBUG_ASSERT(b != Backend::Hybrid);
   state_ = TxState::Optimistic;
   backend_ = b;
-  alg_ = &alg_methods(b);
   depth_ = depth;
   split_done_ = false;
   // NOrec snapshots the global commit counter (even value); the orec family
@@ -271,10 +271,12 @@ void TxDescriptor::commit_top() {
     commit_serial();
     return;
   }
-  // Hybrid is resolved to a concrete backend by the retry loop before
-  // begin_top; a descriptor can never be committing in Hybrid state.
-  TMCV_DEBUG_ASSERT(alg_ != nullptr && backend_ != Backend::Hybrid);
-  (this->*(alg_->commit))();
+  if (backend_ == Backend::NOrec)
+    commit_norec();
+  else if (backend_ == Backend::LazySTM)
+    commit_lazy();
+  else
+    commit_eager();  // EagerSTM, HTM
   state_ = TxState::Idle;
   depth_ = 0;
   activity_end();
@@ -289,10 +291,6 @@ void TxDescriptor::commit_top() {
 
 void TxDescriptor::abort_restart(TxAbort::Reason reason) {
   TMCV_ASSERT(state_ == TxState::Optimistic);
-  if (backend_ == Backend::HTM) {
-    if (reason == TxAbort::Reason::Capacity) ++stats_.htm_capacity_aborts;
-    if (reason == TxAbort::Reason::Syscall) ++stats_.htm_syscall_aborts;
-  }
   switch (reason) {
     case TxAbort::Reason::Conflict:
       ++stats_.aborts_conflict;
@@ -452,24 +450,11 @@ void TxDescriptor::begin_sync_block(bool irrevocable) {
 
 std::uint64_t TxDescriptor::read_word_slow(
     const std::atomic<std::uint64_t>* addr) {
-  switch (state_) {
-    case TxState::Idle:
-      TMCV_ASSERT_MSG(!split_done_,
-                      "transactional access after a split WAIT returned; put "
-                      "post-wait work in the continuation");
-      return addr->load(std::memory_order_acquire);
-    case TxState::Serial:
-      return addr->load(std::memory_order_acquire);
-    case TxState::Optimistic:
-      break;
-  }
-  // Unreachable from the inline read_word (which handles Optimistic), but
-  // kept complete so the function is safe to call in any state.
-  if (backend_ == Backend::LazySTM || backend_ == Backend::NOrec) {
-    if (const RedoEntry* e = find_redo(addr)) return e->value;
-  }
-  if (backend_ == Backend::NOrec) return read_norec_slow(addr);
-  return read_optimistic(addr);
+  // Idle or Serial: read_word handles the Optimistic state inline.
+  TMCV_ASSERT_MSG(state_ != TxState::Idle || !split_done_,
+                  "transactional access after a split WAIT returned; put "
+                  "post-wait work in the continuation");
+  return addr->load(std::memory_order_acquire);
 }
 
 void TxDescriptor::maybe_chaos_abort() {
@@ -545,28 +530,38 @@ void TxDescriptor::write_word(std::atomic<std::uint64_t>* addr,
       break;
   }
   ++stats_.writes;
-  (this->*(alg_->write))(addr, value);
+  if (backend_ == Backend::EagerSTM || backend_ == Backend::HTM)
+    write_eager(addr, value);  // write-through, undo log
+  else
+    write_lazy(addr, value);  // LazySTM, NOrec: redo log
 }
 
 // The write barriers and commit protocols live in tm/algs/ (orec_eager.cpp,
-// orec_lazy.cpp, norec.cpp), reached through the per-backend method table.
+// orec_lazy.cpp, norec.cpp).
 
 // ---------------------------------------------------------------------------
 // Commit / abort
 // ---------------------------------------------------------------------------
 
 void TxDescriptor::rollback() noexcept {
-  if (alg_->undo_on_rollback) {
-    // Write-through backends: undo in reverse so overlapping writes restore
-    // the oldest value last.  Redo-log backends (lazy, NOrec) published
-    // nothing, so there is nothing to undo.
-    for (auto it = undo_log_.rbegin(); it != undo_log_.rend(); ++it)
-      it->addr->store(it->old_value, std::memory_order_release);
+  // Write-through backends (eager, HTM): undo in reverse so overlapping
+  // writes restore the oldest value last.  Redo-log backends (lazy, NOrec)
+  // publish nothing speculatively and never append to the undo log.
+  for (auto it = undo_log_.rbegin(); it != undo_log_.rend(); ++it)
+    it->addr->store(it->old_value, std::memory_order_release);
+  if (undo_log_.empty()) {
+    // Nothing was published: release stripes back to their pre-lock words.
+    for (const LockEntry& e : lock_set_)
+      e.orec->store(e.prior, std::memory_order_release);
+  } else {
+    // A reader that loaded a speculative value between its two orec loads
+    // would accept it if the stripe came back with its pre-lock word (ABA).
+    // Release with a fresh timestamp instead: it exceeds every prior word,
+    // so that reader's recheck fails.
+    const std::uint64_t t = g_clock.tick().time;
+    for (const LockEntry& e : lock_set_)
+      e.orec->store(make_version(t), std::memory_order_release);
   }
-  // Release stripes back to their pre-lock versions: the restored values are
-  // exactly what those versions stamped.
-  for (const LockEntry& e : lock_set_)
-    e.orec->store(e.prior, std::memory_order_release);
   // A discarded notify releases nothing: the wake batch dies with the
   // transaction (Algorithm 5/6 abort semantics).
   wake_batch_.clear();
@@ -582,7 +577,7 @@ bool TxDescriptor::extend() {
 }
 
 bool TxDescriptor::reads_valid() const noexcept {
-  return (this->*(alg_->validate))();
+  return backend_ == Backend::NOrec ? reads_valid_norec() : reads_valid_orec();
 }
 
 bool TxDescriptor::reads_valid_orec() const noexcept {

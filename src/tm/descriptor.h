@@ -1,7 +1,9 @@
 // Per-thread transaction descriptor: the engine behind tm::atomically.
 //
 // One descriptor exists per thread (thread_local).  It implements three
-// optimistic backends over the same orec table and version clock:
+// optimistic backends over the same orec table and version clock, plus
+// NOrec (tm/algs/norec.h), selected per transaction by branching on
+// backend_:
 //
 //   EagerSTM -- the paper's "Westmere" configuration: GCC ml_wt stand-in.
 //               Encounter-time locking, write-through with an undo log.
@@ -11,8 +13,9 @@
 //   HTM      -- the paper's "Haswell" configuration: best-effort bounded
 //               transactions.  Eager execution with hard capacity limits,
 //               no timestamp extension (first conflict aborts), explicit
-//               abort on syscall-like actions, and escalation to the serial
-//               lock after a few attempts (RTM + lock-elision stand-in).
+//               abort on syscall-like actions; the retry loop escalates
+//               to the serial lock after a few attempts (RTM + lock-elision
+//               stand-in).
 //
 // plus the Serial state for irrevocable/relaxed transactions.
 //
@@ -43,20 +46,16 @@ enum class Backend : std::uint8_t {
   EagerSTM,
   LazySTM,
   HTM,
-  // Hybrid TM (the deployment real RTM systems use): a few hardware
-  // attempts, then software transactions, then the serial lock.  Resolved
-  // by the retry loop; the descriptor itself never runs in Hybrid state.
-  Hybrid,
   // NOrec (Dalessandro/Spear/Scott): no ownership records at all.  Reads
   // are validated by value against a single global commit counter; writes
   // buffer in the redo log and write back while holding the counter.
-  // Appended after Hybrid so the numeric values of the orec backends (and
-  // every committed bench JSON that names them) stay stable.
   NOrec,
+  // Hybrid TM (the deployment real RTM systems use) is a request, not a
+  // backend a descriptor runs: the retry loop in tm::atomically expands it
+  // into hardware attempts, then EagerSTM, then the serial lock.  Last, so
+  // the runnable backends index the stats matrix densely (kStatsBackends).
+  Hybrid,
 };
-
-// Number of Backend enum values (sized for the per-backend stats matrix).
-inline constexpr std::size_t kBackendCount = 5;
 
 [[nodiscard]] const char* to_string(Backend b) noexcept;
 
@@ -66,10 +65,6 @@ inline constexpr std::size_t kBackendCount = 5;
 // Parse a lowercase label back to a Backend; false on unknown input.
 // ("auto" is not a Backend -- callers handle it before parsing.)
 [[nodiscard]] bool backend_from_label(const char* s, Backend& out) noexcept;
-
-namespace algs {
-struct AlgMethods;  // per-backend method table (tm/algs/policy.h)
-}  // namespace algs
 
 // TxAbort (the abort token) lives in tm/cm.h alongside the attempt budgets
 // and the contention-management policy.
@@ -123,10 +118,6 @@ class TxDescriptor {
   // the signal is observed before validation, so no commit that could have
   // changed the predicate is missed.
   [[noreturn]] void retry_and_wait();
-
-  // Called by the retry loop after catching TxAbort: bookkeeping only (the
-  // throwing path already rolled back).
-  void after_abort() noexcept {}
 
   // ---- serial / irrevocable ----
 
@@ -255,11 +246,6 @@ class TxDescriptor {
   // probability rate/1e6, exercising fallback robustness.  0 disables.
   static void set_htm_chaos_per_million(std::uint32_t rate) noexcept;
   [[nodiscard]] static std::uint32_t htm_chaos_per_million() noexcept;
-
-  // The per-backend method table (tm/algs/policy.h).  A static member so
-  // the table builder in algs/policy.cpp can form pointers to the private
-  // backend methods below without a friend zoo.
-  [[nodiscard]] static const algs::AlgMethods& alg_methods(Backend b) noexcept;
 
  private:
   struct ReadEntry {
@@ -423,9 +409,9 @@ class TxDescriptor {
     std::uint64_t epoch_ = 0;
   };
 
-  // Backend-specific paths.  The write/commit/validate members are reached
-  // through the per-backend method table (alg_, set by begin_top); the
-  // bodies live in tm/algs/{orec_eager,orec_lazy,norec}.cpp.
+  // Backend-specific paths.  write_word, commit_top and reads_valid branch
+  // on backend_ to reach them, as read_word does; the bodies live in
+  // tm/algs/{orec_eager,orec_lazy,norec}.cpp.
   [[nodiscard]] std::uint64_t read_optimistic(
       const std::atomic<std::uint64_t>* addr);
   void write_eager(std::atomic<std::uint64_t>* addr, std::uint64_t value);
@@ -449,8 +435,9 @@ class TxDescriptor {
   // read set; returns false on conflict.
   [[nodiscard]] bool extend();
 
-  // Generic snapshot validity (dispatches through alg_): the orec loop for
-  // the eager/lazy/HTM family, a non-aborting value recheck for NOrec.
+  // Generic snapshot validity: the orec loop for the eager/lazy/HTM family,
+  // a non-aborting value recheck for NOrec.  Must not abort or move
+  // start_time_: retry_and_wait calls it before parking.
   [[nodiscard]] bool reads_valid() const noexcept;
   [[nodiscard]] bool reads_valid_orec() const noexcept;
   [[nodiscard]] bool reads_valid_norec() const noexcept;
@@ -495,9 +482,6 @@ class TxDescriptor {
   std::uint64_t slot_;
   TxState state_ = TxState::Idle;
   Backend backend_ = Backend::EagerSTM;
-  // Method table for backend_; set alongside it by begin_top.  Null only
-  // before the first top-level transaction (no dispatch happens then).
-  const algs::AlgMethods* alg_ = nullptr;
   std::uint32_t depth_ = 0;
   std::uint32_t saved_depth_ = 0;
   bool split_done_ = false;

@@ -8,12 +8,6 @@
 
 namespace tmcv::tm {
 
-const char* stats_backend_label(std::size_t i) noexcept {
-  static constexpr const char* kLabels[kStatsBackends] = {
-      "eager", "lazy", "htm", "hybrid", "norec"};
-  return i < kStatsBackends ? kLabels[i] : "?";
-}
-
 const char* stats_abort_reason_label(std::size_t i) noexcept {
   static constexpr const char* kLabels[kStatsAbortReasons] = {
       "conflict", "capacity", "syscall", "explicit", "retry_wait"};
@@ -47,8 +41,12 @@ std::string Stats::to_string() const {
      << ", retry_wait=" << aborts_retry_wait << ") reads=" << reads
      << " writes=" << writes << " extensions=" << extensions
      << " serial_fallbacks=" << serial_fallbacks
-     << " htm_capacity_aborts=" << htm_capacity_aborts
-     << " htm_syscall_aborts=" << htm_syscall_aborts
+     << " htm_capacity="
+     << aborts_by_backend[static_cast<std::size_t>(Backend::HTM)]
+                         [static_cast<std::size_t>(TxAbort::Reason::Capacity)]
+     << " htm_syscall="
+     << aborts_by_backend[static_cast<std::size_t>(Backend::HTM)]
+                         [static_cast<std::size_t>(TxAbort::Reason::Syscall)]
      << " htm_chaos_aborts=" << htm_chaos_aborts
      << " handlers=" << handlers_run
      << " dedup_hits=" << read_dedup_hits

@@ -13,12 +13,13 @@ namespace tmcv::tm {
 
 // Dimensions of the per-backend abort matrix below.  Kept as plain
 // constants (not the Backend / TxAbort::Reason enums) so stats.h stays
-// header-light; descriptor.cpp static_asserts they match the enums.
-inline constexpr std::size_t kStatsBackends = 5;      // eager lazy htm hybrid norec
+// header-light; descriptor.cpp static_asserts they match the enums.  Rows
+// are the backends a descriptor runs (Hybrid is a retry-loop request).
+inline constexpr std::size_t kStatsBackends = 4;      // eager lazy htm norec
 inline constexpr std::size_t kStatsAbortReasons = 5;  // conflict capacity syscall explicit retry_wait
 
-// Label helpers for the matrix axes (exporters and tools).
-[[nodiscard]] const char* stats_backend_label(std::size_t i) noexcept;
+// Label helper for the reason axis (exporters and tools); the backend axis
+// uses backend_label(static_cast<Backend>(i)).
 [[nodiscard]] const char* stats_abort_reason_label(std::size_t i) noexcept;
 
 struct Stats {
@@ -36,8 +37,6 @@ struct Stats {
   std::uint64_t extensions = 0;        // successful timestamp extensions
   std::uint64_t serial_commits = 0;    // irrevocable/relaxed sections
   std::uint64_t serial_fallbacks = 0;  // optimistic -> serial escalations
-  std::uint64_t htm_capacity_aborts = 0;
-  std::uint64_t htm_syscall_aborts = 0;
   std::uint64_t htm_chaos_aborts = 0;  // injected asynchronous aborts
   std::uint64_t handlers_run = 0;      // onCommit handlers executed
 
@@ -74,7 +73,7 @@ struct Stats {
   std::uint64_t backend_switches = 0;
 
   // Per-backend abort-reason matrix: aborts_by_backend[backend][reason],
-  // axes labeled by stats_backend_label / stats_abort_reason_label.  NOT in
+  // axes labeled by backend_label / stats_abort_reason_label.  NOT in
   // for_each_field (that visitor is the scalar single-source-of-truth);
   // the operators and exporters handle it explicitly.
   std::uint64_t aborts_by_backend[kStatsBackends][kStatsAbortReasons] = {};
@@ -102,8 +101,6 @@ struct Stats {
     fn("extensions", &Stats::extensions);
     fn("serial_commits", &Stats::serial_commits);
     fn("serial_fallbacks", &Stats::serial_fallbacks);
-    fn("htm_capacity_aborts", &Stats::htm_capacity_aborts);
-    fn("htm_syscall_aborts", &Stats::htm_syscall_aborts);
     fn("htm_chaos_aborts", &Stats::htm_chaos_aborts);
     fn("handlers_run", &Stats::handlers_run);
     fn("aborts_conflict", &Stats::aborts_conflict);

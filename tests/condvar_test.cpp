@@ -10,6 +10,7 @@
 #include "core/condvar.h"
 #include "core/legacy_cv.h"
 #include "sync/locks.h"
+#include "waitpoint_probe.h"
 
 namespace tmcv {
 namespace {
@@ -396,7 +397,8 @@ TEST(CondVar, NestedMonitorWaitReleasesAllLocks) {
     outer.unlock();
     woke.store(true);
   });
-  while (cv.waiter_count() == 0) std::this_thread::yield();
+  // Parked, not just enqueued: the locks are released after the enqueue.
+  test::await_parked(WaitReason::kCondVar, &cv);
   // Both locks must be free while the waiter sleeps.
   EXPECT_TRUE(outer.try_lock());
   EXPECT_TRUE(inner.try_lock());

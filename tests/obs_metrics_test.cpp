@@ -66,6 +66,13 @@ TEST_F(ObsMetricsTest, JsonExporterShape) {
         "\"p999\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
+  // The abort matrix has one row per backend a descriptor runs, in enum
+  // order; a Hybrid request is a retry ladder and has no row.
+  EXPECT_NE(json.find("\"aborts_by_backend\": {\"eager\": {"),
+            std::string::npos);
+  for (const char* row : {"\"lazy\": {", "\"htm\": {", "\"norec\": {"})
+    EXPECT_NE(json.find(row), std::string::npos) << "missing row " << row;
+  EXPECT_EQ(json.find("\"hybrid\": {"), std::string::npos);
 }
 
 TEST_F(ObsMetricsTest, PrometheusExporterShape) {
@@ -79,6 +86,10 @@ TEST_F(ObsMetricsTest, PrometheusExporterShape) {
         "tmcv_cv_wait_ns_count"}) {
     EXPECT_NE(prom.find(needle), std::string::npos) << "missing " << needle;
   }
+  EXPECT_NE(prom.find("tmcv_tm_aborts_total{backend=\"norec\",reason="),
+            std::string::npos);
+  EXPECT_EQ(prom.find("tmcv_tm_aborts_total{backend=\"hybrid\""),
+            std::string::npos);
 }
 
 TEST_F(ObsMetricsTest, WriteFilesAndChromeTrace) {

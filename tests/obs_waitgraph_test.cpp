@@ -34,12 +34,22 @@ std::uint64_t entry_ns_sum(const obs::StallSnapshot& s) {
   return sum;
 }
 
-// A waiter parked on `cv` until released; joins cleanly on destruction.
+const obs::ThreadRow* find_waiting_row(const obs::WaitGraph& g,
+                                       const void* target) {
+  for (std::uint32_t i = 0; i < g.thread_count; ++i)
+    if (g.rows[i].waiting && g.rows[i].target == target) return &g.rows[i];
+  return nullptr;
+}
+
+// A waiter parked on `cv` until released.
 struct ParkedWaiter {
   CondVar cv;
   std::mutex m;
   std::thread t;
 
+  // Returns once the snapshot shows the waiter parked.  cv.waiter_count()
+  // is no proof of that: it counts the waiter at enqueue, before the wait
+  // slot is published, and a probe in that window sees no waiting thread.
   void park() {
     t = std::thread([this] {
       m.lock();
@@ -47,22 +57,21 @@ struct ParkedWaiter {
       cv.wait(sync);
       m.unlock();
     });
-    while (cv.waiter_count() == 0) std::this_thread::yield();
+    static obs::WaitGraph g;  // ~50 KiB; keep it off the stack
+    for (;;) {
+      obs::waitgraph_collect(g);
+      if (find_waiting_row(g, &cv) != nullptr) return;
+      std::this_thread::yield();
+    }
   }
 
+  // Only after park(): the waiter is already enqueued, so the notify
+  // cannot be lost.
   void release() {
-    while (cv.waiter_count() == 0) std::this_thread::yield();
     cv.notify_one();
     t.join();
   }
 };
-
-const obs::ThreadRow* find_waiting_row(const obs::WaitGraph& g,
-                                       const void* target) {
-  for (std::uint32_t i = 0; i < g.thread_count; ++i)
-    if (g.rows[i].waiting && g.rows[i].target == target) return &g.rows[i];
-  return nullptr;
-}
 
 TEST(WaitGraph, CollectSeesParkedCondvarWaiterAndItsEdge) {
   ParkedWaiter w;

@@ -173,7 +173,10 @@ TEST(ParsecHtm, CondvarInternalsNeverSyscallInsideHtm) {
   ASSERT_NE(kernel, nullptr);
   const KernelResult r = kernel->run(System::Tm, test_config(4));
   EXPECT_GT(r.units, 0u);
-  EXPECT_EQ(tm::stats_snapshot().htm_syscall_aborts, 0u);
+  EXPECT_EQ(tm::stats_snapshot().aborts_by_backend[static_cast<std::size_t>(
+                tm::Backend::HTM)][static_cast<std::size_t>(
+                tm::TxAbort::Reason::Syscall)],
+            0u);
   tm::set_default_backend(tm::Backend::EagerSTM);
 }
 

@@ -14,26 +14,13 @@
 #include "sync/semaphore.h"
 #include "sync/waitpoint.h"
 #include "util/backoff.h"
+#include "waitpoint_probe.h"
 
 namespace tmcv {
 namespace {
 
-// Scan the registry for a slot currently published as (reason, target).
-// Returns nullptr if none; retried by callers because publish races the
-// scan by design.
-WaitSlot* find_published(WaitReason reason, const void* target) {
-  WaitSlot* slots = detail::wait_slots();
-  const std::uint32_t n = wait_slot_high_water();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t seq = slots[i].seq.load(std::memory_order_acquire);
-    if ((seq & 1) == 0) continue;
-    const std::uint64_t info = slots[i].info.load(std::memory_order_relaxed);
-    if (wait_info_reason(info) == reason &&
-        slots[i].target.load(std::memory_order_relaxed) == target)
-      return &slots[i];
-  }
-  return nullptr;
-}
+using test::await_parked;
+using test::find_published;
 
 std::uint64_t sum_cells(const std::uint64_t (*cells)[kStallSiteSlots]) {
   std::uint64_t sum = 0;
@@ -118,12 +105,11 @@ TEST(WaitPoint, CondVarWaitPublishesWhileParked) {
     m.unlock();
   });
   // The park path must publish (kCondVar, &cv) before sleeping...
-  WaitSlot* s = nullptr;
-  while ((s = find_published(WaitReason::kCondVar, &cv)) == nullptr)
-    std::this_thread::yield();
+  WaitSlot* s = await_parked(WaitReason::kCondVar, &cv);
   EXPECT_EQ(wait_info_reason(s->info.load(std::memory_order_relaxed)),
             WaitReason::kCondVar);
-  while (cv.waiter_count() == 0) std::this_thread::yield();
+  // The slot is published after the enqueue, so this notify finds the
+  // waiter queued.
   cv.notify_one();
   waiter.join();
   // ...and clear on wake: the pairing leaves nothing published.
@@ -133,9 +119,7 @@ TEST(WaitPoint, CondVarWaitPublishesWhileParked) {
 TEST(WaitPoint, SemaphoreParkPublishesWhileParked) {
   Semaphore sem;
   std::thread waiter([&] { sem.wait(); });
-  WaitSlot* s = nullptr;
-  while ((s = find_published(WaitReason::kSemaphore, &sem)) == nullptr)
-    std::this_thread::yield();
+  WaitSlot* s = await_parked(WaitReason::kSemaphore, &sem);
   EXPECT_EQ(s->target.load(std::memory_order_relaxed), &sem);
   sem.post();
   waiter.join();

@@ -13,21 +13,29 @@
 namespace tmcv::tm {
 namespace {
 
+std::uint64_t aborts_of(const Stats& s, Backend b, TxAbort::Reason r) {
+  return s.aborts_by_backend[static_cast<std::size_t>(b)]
+                            [static_cast<std::size_t>(r)];
+}
+
 TEST(TmHtm, WriteCapacityAbortFallsBackToSerial) {
   stats_reset();
   constexpr std::size_t kVars = TxDescriptor::kHtmWriteCapacity + 8;
   std::vector<std::unique_ptr<var<int>>> vars;
   for (std::size_t i = 0; i < kVars; ++i)
     vars.push_back(std::make_unique<var<int>>(0));
-  // Too many writes for a hardware transaction: every optimistic attempt
-  // takes a capacity abort, then the serial fallback completes it.
+  // Too many writes for a hardware transaction: the one hardware attempt
+  // takes a capacity abort, and Backend::HTM goes straight to the serial
+  // lock (no software rung: that is Backend::Hybrid's ladder).
   atomically(Backend::HTM, [&] {
     for (std::size_t i = 0; i < kVars; ++i) vars[i]->store(1);
   });
   for (std::size_t i = 0; i < kVars; ++i) EXPECT_EQ(vars[i]->load(), 1);
   const Stats s = stats_snapshot();
-  EXPECT_GT(s.htm_capacity_aborts, 0u);
-  EXPECT_GT(s.serial_fallbacks, 0u);
+  EXPECT_EQ(aborts_of(s, Backend::HTM, TxAbort::Reason::Capacity), 1u);
+  EXPECT_EQ(s.aborts, 1u);
+  EXPECT_EQ(s.serial_fallbacks, 1u);
+  EXPECT_EQ(s.serial_commits, 1u);
 }
 
 TEST(TmHtm, ReadCapacityAbortFallsBackToSerial) {
@@ -42,7 +50,9 @@ TEST(TmHtm, ReadCapacityAbortFallsBackToSerial) {
     for (std::size_t i = 0; i < kVars; ++i) sum += vars[i]->load();
   });
   EXPECT_EQ(sum, static_cast<long>(kVars * (kVars - 1) / 2));
-  EXPECT_GT(stats_snapshot().htm_capacity_aborts, 0u);
+  const Stats s = stats_snapshot();
+  EXPECT_EQ(aborts_of(s, Backend::HTM, TxAbort::Reason::Capacity), 1u);
+  EXPECT_EQ(s.serial_fallbacks, 1u);
 }
 
 TEST(TmHtm, SyscallFenceAbortsHardwareTransaction) {
@@ -63,7 +73,7 @@ TEST(TmHtm, SyscallFenceAbortsHardwareTransaction) {
   EXPECT_EQ(x.load(), 2);
   EXPECT_EQ(optimistic_attempts, 1);
   const Stats s = stats_snapshot();
-  EXPECT_EQ(s.htm_syscall_aborts, 1u);
+  EXPECT_EQ(aborts_of(s, Backend::HTM, TxAbort::Reason::Syscall), 1u);
   EXPECT_GT(s.serial_fallbacks, 0u);
 }
 
@@ -90,7 +100,7 @@ TEST(TmHtm, SmallTransactionsStayOptimistic) {
   EXPECT_EQ(x.load(), 100);
   const Stats s = stats_snapshot();
   // Uncontended small transactions: no capacity pressure, no fallback.
-  EXPECT_EQ(s.htm_capacity_aborts, 0u);
+  EXPECT_EQ(aborts_of(s, Backend::HTM, TxAbort::Reason::Capacity), 0u);
   EXPECT_EQ(s.serial_fallbacks, 0u);
 }
 

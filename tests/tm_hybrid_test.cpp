@@ -1,10 +1,11 @@
-// Hybrid backend (HTM -> STM -> serial) and HTM chaos injection.
+// Hybrid retry ladder (HTM -> EagerSTM -> serial) and HTM chaos injection.
 #include <gtest/gtest.h>
 
 #include "backend_fixture.h"  // orec/HTM-specific: pin the eager default
 
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "tm/api.h"
@@ -12,6 +13,18 @@
 
 namespace tmcv::tm {
 namespace {
+
+std::uint64_t aborts_of(const Stats& s, Backend b, TxAbort::Reason r) {
+  return s.aborts_by_backend[static_cast<std::size_t>(b)]
+                            [static_cast<std::size_t>(r)];
+}
+
+std::uint64_t row_total(const Stats& s, Backend b) {
+  std::uint64_t total = 0;
+  for (std::uint64_t n : s.aborts_by_backend[static_cast<std::size_t>(b)])
+    total += n;
+  return total;
+}
 
 TEST(TmHybrid, SmallTransactionCommitsInHardware) {
   stats_reset();
@@ -35,10 +48,42 @@ TEST(TmHybrid, CapacityOverflowFallsBackToSoftware) {
   });
   for (std::size_t i = 0; i < kVars; ++i) EXPECT_EQ(vars[i]->load(), 1);
   const Stats s = stats_snapshot();
-  EXPECT_GT(s.htm_capacity_aborts, 0u);
+  // One hardware attempt: a capacity abort forfeits the rest of the
+  // hardware budget.
+  EXPECT_EQ(aborts_of(s, Backend::HTM, TxAbort::Reason::Capacity), 1u);
   // The software STM absorbed it: no serial section was needed (unlike
   // Backend::HTM, whose only fallback is the serial lock).
   EXPECT_EQ(s.serial_fallbacks, 0u);
+}
+
+TEST(TmHybrid, LadderStepsFromHardwareToSoftwareExactly) {
+  // Chaos at 100% kills every hardware access, so each transaction spends
+  // its whole hardware budget on injected conflicts, then commits on the
+  // EagerSTM rung at the first try (single thread: nothing to conflict
+  // with) -- and never reaches the serial lock.
+  stats_reset();
+  TxDescriptor::set_htm_chaos_per_million(1000000);
+  constexpr int kTxns = 50;
+  var<long> counter(0);
+  for (int i = 0; i < kTxns; ++i)
+    atomically(Backend::Hybrid, [&] { counter.store(counter.load() + 1); });
+  TxDescriptor::set_htm_chaos_per_million(0);
+  EXPECT_EQ(counter.load(), kTxns);
+  const Stats s = stats_snapshot();
+  EXPECT_EQ(s.serial_fallbacks, 0u);
+  EXPECT_EQ(s.commits, static_cast<std::uint64_t>(kTxns));
+  EXPECT_GE(s.htm_chaos_aborts, static_cast<std::uint64_t>(kTxns));
+  EXPECT_EQ(aborts_of(s, Backend::HTM, TxAbort::Reason::Conflict),
+            s.htm_chaos_aborts);
+  EXPECT_EQ(row_total(s, Backend::HTM), s.htm_chaos_aborts);
+  EXPECT_EQ(row_total(s, Backend::EagerSTM), 0u);
+  // The matrix has one row per backend a descriptor runs -- no Hybrid row
+  // -- and accounts for every abort.
+  static_assert(std::extent_v<decltype(Stats::aborts_by_backend)> == 4);
+  std::uint64_t matrix_total = 0;
+  for (std::size_t b = 0; b < kStatsBackends; ++b)
+    matrix_total += row_total(s, static_cast<Backend>(b));
+  EXPECT_EQ(matrix_total, s.aborts);
 }
 
 TEST(TmHybrid, ConcurrentCountersNoLostUpdates) {

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "tm/algs/adaptive.h"
@@ -111,6 +112,7 @@ TEST_F(TmNorec, MultiThreadedCounterConservation) {
   EXPECT_GE(s.commits, static_cast<std::uint64_t>(kThreads) * kIncrements);
   // Every abort is attributed to the NOrec row of the matrix (the family
   // override means no other backend ran), and the matrix sums to `aborts`.
+  static_assert(std::extent_v<decltype(tm::Stats::aborts_by_backend)> == 4);
   std::uint64_t matrix_total = 0, norec_row = 0;
   for (std::size_t b = 0; b < tm::kStatsBackends; ++b)
     for (std::size_t r = 0; r < tm::kStatsAbortReasons; ++r) {

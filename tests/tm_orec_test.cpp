@@ -2,6 +2,7 @@
 // striping, the version clock, and the thread registry.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <thread>
 #include <vector>
@@ -53,6 +54,33 @@ TEST(Orec, TableIsZeroInitialized) {
   const OrecWord w = orec_at(12345).load();
   if (!orec_is_locked(w)) {
     EXPECT_LE(orec_version(w), global_clock().now());
+  }
+}
+
+TEST(Orec, WriteThroughAbortReleasesAFreshVersion) {
+  // An aborted write-through transaction must not hand its stripe back with
+  // the pre-lock word: a reader that loaded the speculative value between
+  // its two orec loads would then accept it (ABA).
+  if (default_backend() == Backend::NOrec) GTEST_SKIP() << "no orecs";
+  for (Backend b : {Backend::EagerSTM, Backend::HTM}) {
+    std::atomic<std::uint64_t> word{7};
+    const Orec& o = orec_for(&word);
+    const OrecWord before = o.load();
+    ASSERT_FALSE(orec_is_locked(before));
+    OrecWord after_abort = 0;
+    bool aborted = false;
+    atomically(b, [&] {
+      if (aborted) {
+        after_abort = o.load();
+        return;
+      }
+      descriptor().write_word(&word, 8);
+      aborted = true;
+      retry_txn();
+    });
+    EXPECT_EQ(word.load(), 7u);  // the undo log restored the value
+    EXPECT_FALSE(orec_is_locked(after_abort));
+    EXPECT_GT(orec_version(after_abort), orec_version(before));
   }
 }
 

@@ -14,6 +14,7 @@
 #include <iterator>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/condvar.h"
@@ -162,6 +163,8 @@ TEST(TmSwitch, MidFlightFlipsConserveTokensAndStats) {
   // The controller may have added switches of its own during the auto
   // phase; the five manual flips are the floor.
   EXPECT_GE(s.backend_switches, std::size(flips));
+  // One row per backend a descriptor runs (eager, lazy, htm, norec).
+  static_assert(std::extent_v<decltype(tm::Stats::aborts_by_backend)> == 4);
   std::uint64_t matrix_total = 0;
   for (std::size_t b = 0; b < tm::kStatsBackends; ++b)
     for (std::size_t r = 0; r < tm::kStatsAbortReasons; ++r)
