@@ -445,7 +445,7 @@ int main(int argc, char** argv) {
                   "  \"commits\": %" PRIu64 ",\n  \"aborts\": %" PRIu64
                   ",\n  \"aborts_conflict\": %" PRIu64
                   ",\n  \"abort_commit_ratio\": %.6f,\n",
-                  delta.tm.commits, delta.tm.aborts, delta.tm.aborts_conflict,
+                  delta.tm.commits, delta.tm.aborts, delta.tm.aborts_conflict(),
                   delta.tm.commits
                       ? static_cast<double>(delta.tm.aborts) /
                             static_cast<double>(delta.tm.commits)

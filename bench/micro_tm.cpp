@@ -471,11 +471,11 @@ int run_json_contended_mode(const char* out_path) {
                (unsigned long long)st.cm_backoffs,
                (unsigned long long)st.cm_serial_escalations,
                (unsigned long long)st.clock_cas_reuses,
-               (unsigned long long)st.aborts_conflict,
-               (unsigned long long)st.aborts_capacity,
-               (unsigned long long)st.aborts_syscall,
-               (unsigned long long)st.aborts_explicit,
-               (unsigned long long)st.aborts_retry_wait);
+               (unsigned long long)st.aborts_conflict(),
+               (unsigned long long)st.aborts_capacity(),
+               (unsigned long long)st.aborts_syscall(),
+               (unsigned long long)st.aborts_explicit(),
+               (unsigned long long)st.aborts_retry_wait());
   std::fclose(f);
   const std::string mpath = metrics_path_for(out_path);
   if (!tmcv::obs::write_metrics_files(tmcv::obs::metrics_snapshot(), mpath)) {
@@ -593,11 +593,11 @@ int run_json_mode(const char* out_path) {
                (unsigned long long)st.aborts, (unsigned long long)st.reads,
                (unsigned long long)st.read_dedup_appends,
                (unsigned long long)st.extensions,
-               (unsigned long long)st.aborts_conflict,
-               (unsigned long long)st.aborts_capacity,
-               (unsigned long long)st.aborts_syscall,
-               (unsigned long long)st.aborts_explicit,
-               (unsigned long long)st.aborts_retry_wait);
+               (unsigned long long)st.aborts_conflict(),
+               (unsigned long long)st.aborts_capacity(),
+               (unsigned long long)st.aborts_syscall(),
+               (unsigned long long)st.aborts_explicit(),
+               (unsigned long long)st.aborts_retry_wait());
   std::fclose(f);
   const std::string mpath = metrics_path_for(out_path);
   if (!tmcv::obs::write_metrics_files(tmcv::obs::metrics_snapshot(), mpath)) {

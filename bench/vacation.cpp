@@ -488,11 +488,11 @@ int run_json_mode(const char* out_path, int threads, int txns_override) {
           ? static_cast<double>(st.aborts) / static_cast<double>(st.commits)
           : 0.0,
       (unsigned long long)st.commits, (unsigned long long)st.aborts,
-      (unsigned long long)st.aborts_conflict,
-      (unsigned long long)st.aborts_capacity,
-      (unsigned long long)st.aborts_syscall,
-      (unsigned long long)st.aborts_explicit,
-      (unsigned long long)st.aborts_retry_wait);
+      (unsigned long long)st.aborts_conflict(),
+      (unsigned long long)st.aborts_capacity(),
+      (unsigned long long)st.aborts_syscall(),
+      (unsigned long long)st.aborts_explicit(),
+      (unsigned long long)st.aborts_retry_wait());
   std::fclose(f);
   const std::string mpath = metrics_path_for(out_path);
   if (!tmcv::obs::write_metrics_files(tmcv::obs::metrics_snapshot(), mpath)) {

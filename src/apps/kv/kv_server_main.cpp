@@ -73,8 +73,8 @@ void print_final_summary() {
               "capacity=%llu) serial_fallbacks=%llu\n",
               static_cast<unsigned long long>(s.tm.commits),
               static_cast<unsigned long long>(s.tm.aborts),
-              static_cast<unsigned long long>(s.tm.aborts_conflict),
-              static_cast<unsigned long long>(s.tm.aborts_capacity),
+              static_cast<unsigned long long>(s.tm.aborts_conflict()),
+              static_cast<unsigned long long>(s.tm.aborts_capacity()),
               static_cast<unsigned long long>(s.tm.serial_fallbacks));
   std::printf("kv-server final: cv_waits=%llu threads_woken=%llu parks=%llu "
               "parks_avoided=%llu handoffs=%llu\n",

@@ -227,7 +227,7 @@ bool CondVar::notify_one() {
     tm::defer_wake(&victim->sem);
     notified = true;
   });
-  count_notify(notify_one_calls_, notified ? 1 : 0, notify_t0);
+  count_notify(stats_.notify_one_calls, notified ? 1 : 0, notify_t0);
   return notified;
 }
 
@@ -257,7 +257,7 @@ std::size_t CondVar::notify_all() {
   });
   dispatch_wakes(victims);
   const std::size_t count = victims.size();
-  count_notify(notify_all_calls_, count, notify_t0);
+  count_notify(stats_.notify_all_calls, count, notify_t0);
   return count;
 }
 
@@ -321,7 +321,7 @@ std::size_t CondVar::notify_n(std::size_t n) {
   });
   dispatch_wakes(victims);
   const std::size_t count = victims.size();
-  count_notify(notify_all_calls_, count, notify_t0);
+  count_notify(stats_.notify_all_calls, count, notify_t0);
   return count;
 }
 

@@ -31,6 +31,7 @@
 #include "tm/txn_sync.h"
 #include "tm/var.h"
 #include "util/assert.h"
+#include "util/counters.h"
 
 namespace tmcv {
 
@@ -39,20 +40,14 @@ namespace tmcv {
 // per Scherer & Scott).
 enum class WakePolicy : std::uint8_t { FIFO, LIFO };
 
-// Per-condvar observability counters.  Maintained with relaxed atomics
-// *outside* the queue transactions (a counter inside the transaction would
-// manufacture conflicts between otherwise-disjoint operations).
-//
-// Consistency model: CondVar::stats() reads each counter with its own
-// relaxed load -- a field-by-field copy, never a struct assignment over the
-// atomics.  Every individual field is therefore an exact monotonic count at
-// some moment during the call, but the fields are not sampled at a single
-// instant: a snapshot taken while threads are active may, e.g., show a
-// notify whose matching wait has not incremented yet.  Cross-field
+// Per-condvar counter family (util/counters.h), bumped by any thread with
+// counters::add *outside* the queue transactions: a counter inside the
+// transaction would manufacture conflicts between otherwise-disjoint
+// operations.  A snapshot taken while threads are active may, e.g., show a
+// notify whose matching wait has not incremented yet: cross-field
 // invariants (waits <= threads_woken + timeouts in flight) only hold at
-// quiescence.  This is the standard contract for hot-path metrics; callers
-// needing an exact aggregate must quiesce first.
-struct CondVarStats {
+// quiescence.
+struct CondVarStats : counters::Family<CondVarStats> {
   std::uint64_t waits = 0;          // completed waits (all flavours)
   std::uint64_t timed_waits = 0;    // wait_for calls
   std::uint64_t timeouts = 0;       // wait_for calls that timed out
@@ -63,7 +58,7 @@ struct CondVarStats {
   std::uint64_t lost_notifies = 0;  // notifies that found an empty queue
 
   // Visit every counter as (name, member pointer): single source of truth
-  // for the arithmetic below and the metrics exporters.
+  // for counters.h and the metrics exporters.
   template <typename Fn>
   static constexpr void for_each_field(Fn&& fn) {
     fn("waits", &CondVarStats::waits);
@@ -74,21 +69,6 @@ struct CondVarStats {
     fn("notify_best_calls", &CondVarStats::notify_best_calls);
     fn("threads_woken", &CondVarStats::threads_woken);
     fn("lost_notifies", &CondVarStats::lost_notifies);
-  }
-
-  CondVarStats& operator+=(const CondVarStats& o) noexcept {
-    for_each_field([&](const char*, std::uint64_t CondVarStats::*f) {
-      this->*f += o.*f;
-    });
-    return *this;
-  }
-
-  // Delta against an earlier snapshot of the same counters.
-  CondVarStats& operator-=(const CondVarStats& o) noexcept {
-    for_each_field([&](const char*, std::uint64_t CondVarStats::*f) {
-      this->*f -= o.*f;
-    });
-    return *this;
   }
 };
 
@@ -212,7 +192,7 @@ class CondVar {
     enqueue_self(node);
     sync.end_block();
     tm::syscall_fence();
-    timed_waits_.fetch_add(1, std::memory_order_relaxed);
+    counters::add(stats_.timed_waits);
     bool notified;
     {
       // Scoped tightly around the sleep so the try_remove_self transaction
@@ -231,7 +211,7 @@ class CondVar {
       finish_wait(node, t0);
     } else {
       node.enqueued = false;
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
+      counters::add(stats_.timeouts);
     }
     // On the timeout path the morph key is never set, so the relay in here
     // is a single relaxed exchange.
@@ -340,7 +320,7 @@ class CondVar {
       tm::defer_wake(&best->sem);
       notified = true;
     });
-    count_notify(notify_best_calls_, notified ? 1 : 0, notify_t0);
+    count_notify(stats_.notify_best_calls, notified ? 1 : 0, notify_t0);
     return notified;
   }
 
@@ -349,23 +329,10 @@ class CondVar {
 
   [[nodiscard]] WakePolicy policy() const noexcept { return policy_; }
 
-  // Snapshot of the observability counters.  Deliberately a field-by-field
-  // copy (one relaxed load per counter), never a struct assignment over the
-  // atomics: each field is individually exact, the set of fields is not
-  // sampled atomically.  See the CondVarStats comment for the full
-  // consistency model.
+  // Snapshot of the observability counters (see CondVarStats for the
+  // consistency model).
   [[nodiscard]] CondVarStats stats() const noexcept {
-    CondVarStats s;
-    s.waits = waits_.load(std::memory_order_relaxed);
-    s.timed_waits = timed_waits_.load(std::memory_order_relaxed);
-    s.timeouts = timeouts_.load(std::memory_order_relaxed);
-    s.notify_one_calls = notify_one_calls_.load(std::memory_order_relaxed);
-    s.notify_all_calls = notify_all_calls_.load(std::memory_order_relaxed);
-    s.notify_best_calls =
-        notify_best_calls_.load(std::memory_order_relaxed);
-    s.threads_woken = threads_woken_.load(std::memory_order_relaxed);
-    s.lost_notifies = lost_notifies_.load(std::memory_order_relaxed);
-    return s;
+    return counters::load(stats_);
   }
 
  private:
@@ -393,7 +360,7 @@ class CondVar {
   // Post-wake bookkeeping shared by every wait flavour.
   void finish_wait(detail::WaitNode& node, std::uint64_t t0) noexcept {
     node.enqueued = false;
-    waits_.fetch_add(1, std::memory_order_relaxed);
+    counters::add(stats_.waits);
 #if TMCV_TRACE
     obs::region_end(obs::Event::kCvWait, t0, &obs::hist_cv_wait());
     obs::consume_notify_stamp(node.notify_ticks);
@@ -501,17 +468,17 @@ class CondVar {
   // wake it causes, or the offline causal check (tools/trace_report.py
   // --causal) would see wakes without tokens whenever a victim stamps its
   // wait-end before the notifier regains the CPU.
-  void count_notify(std::atomic<std::uint64_t>& calls, std::size_t woken,
+  void count_notify(std::uint64_t& calls, std::size_t woken,
                     std::uint64_t t0) noexcept {
-    calls.fetch_add(1, std::memory_order_relaxed);
+    counters::add(calls);
     // Remember who notifies this condvar (by txn-site label) so the
     // wait-for graph can point a parked waiter at its expected notifier.
     last_notify_site_.store(tm::descriptor().txn_site(),
                             std::memory_order_relaxed);
     if (woken == 0)
-      lost_notifies_.fetch_add(1, std::memory_order_relaxed);
+      counters::add(stats_.lost_notifies);
     else
-      threads_woken_.fetch_add(woken, std::memory_order_relaxed);
+      counters::add(stats_.threads_woken, woken);
 #if TMCV_TRACE
     obs::emit_instant_at(obs::Event::kCvNotify, t0,
                          static_cast<std::uint16_t>(
@@ -532,14 +499,7 @@ class CondVar {
 
   // Metrics (relaxed; see CondVarStats).
   std::atomic<std::uint16_t> last_notify_site_{0};
-  std::atomic<std::uint64_t> waits_{0};
-  std::atomic<std::uint64_t> timed_waits_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
-  std::atomic<std::uint64_t> notify_one_calls_{0};
-  std::atomic<std::uint64_t> notify_all_calls_{0};
-  std::atomic<std::uint64_t> notify_best_calls_{0};
-  std::atomic<std::uint64_t> threads_woken_{0};
-  std::atomic<std::uint64_t> lost_notifies_{0};
+  CondVarStats stats_;
 };
 
 }  // namespace tmcv

@@ -145,8 +145,7 @@ inline constexpr std::uint32_t kAttrNoStripe = ~0u;
 // and the fold (attribution.cpp) merges by key.  Keys are nonzero by
 // construction (the pack_* helpers set a tag bit); 0 means empty.  A shard
 // that fills up counts into `overflow` instead of dropping silently, so
-// completeness stays checkable.  reset() is quiescent-only, like
-// tm::stats_reset.
+// completeness stays checkable.  reset() is quiescent-only.
 template <unsigned SlotsLog2>
 class AttrTable {
  public:
@@ -201,7 +200,7 @@ class AttrTable {
   }
 
   // Zero everything.  Call at quiescence only (a concurrent add could split
-  // a key/count pair); same contract as tm::stats_reset.
+  // a key/count pair).
   void reset() noexcept {
     for (Shard& sh : shards_) {
       for (Slot& s : sh.slots) {
@@ -367,7 +366,7 @@ struct AttributionSnapshot {
     const AttributionSnapshot& now, const AttributionSnapshot& before);
 
 // Sum of conflict-pair counts: the completeness check against
-// tm::Stats::aborts_conflict (equal at quiescence when `dropped` is 0).
+// tm::Stats::aborts_conflict() (equal at quiescence when `dropped` is 0).
 [[nodiscard]] std::uint64_t attr_conflicts_total(
     const AttributionSnapshot& s) noexcept;
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <mutex>
 #include <sstream>
@@ -199,11 +198,8 @@ std::string to_json(const MetricsSnapshot& s) {
      << "\", \"trace_compiled\": " << (TMCV_TRACE ? "true" : "false")
      << ", \"htm\": \"emulated\", \"uptime_seconds\": " << upbuf
      << "},\n  \"tm\": {\n    \"backend\": \"" << s.tm_backend << "\"";
-  bool first = false;
-  tm::Stats::for_each_field([&](const char* name,
-                                std::uint64_t tm::Stats::*field) {
-    os << (first ? "" : ",\n") << "    \"" << name << "\": " << s.tm.*field;
-    first = false;
+  s.tm.for_each_scalar([&](const std::string& name, std::uint64_t v) {
+    os << ",\n    \"" << name << "\": " << v;
   });
   // Per-backend abort-reason matrix (nested object: scalar-diffing tools
   // skip it; tmcv-top and the backend-smoke CI step read it).
@@ -224,25 +220,22 @@ std::string to_json(const MetricsSnapshot& s) {
                           static_cast<double>(s.tm.aborts);
   std::snprintf(buf, sizeof buf, "%.6f",
                 attempts ? static_cast<double>(s.tm.aborts) / attempts : 0.0);
+  // A counter family's fields as the members of one JSON object.
+  const auto family = [&](const auto& f) {
+    const char* sep = "";
+    f.for_each_field([&](const char* name, auto field) {
+      os << sep << "    \"" << name << "\": " << f.*field;
+      sep = ",\n";
+    });
+  };
   os << ",\n    \"abort_rate\": " << buf << "\n  },\n  \"condvar\": {\n";
-  first = true;
-  CondVarStats::for_each_field([&](const char* name,
-                                   std::uint64_t CondVarStats::*field) {
-    os << (first ? "" : ",\n") << "    \"" << name << "\": " << s.cv.*field;
-    first = false;
-  });
+  family(s.cv);
   os << "\n  },\n  \"wake\": {\n";
-  first = true;
-  WakeStats::for_each_field([&](const char* name,
-                                std::uint64_t WakeStats::*field) {
-    os << (first ? "" : ",\n") << "    \"" << name
-       << "\": " << s.wake.*field;
-    first = false;
-  });
+  family(s.wake);
   os << "\n  },\n  \"trace\": {\n    \"events\": " << s.trace_events
      << ",\n    \"dropped\": " << s.trace_dropped
      << ",\n    \"per_thread_drops\": {";
-  first = true;
+  bool first = true;
   for (const RingDrops& rd : s.trace_ring_drops) {
     os << (first ? "" : ", ") << "\"" << rd.tid << "\": " << rd.dropped;
     first = false;
@@ -343,12 +336,11 @@ std::string to_prometheus(const MetricsSnapshot& s) {
   header("tmcv_tm_backend", "gauge",
          "Current default TM backend as a label; value is always 1.");
   os << "tmcv_tm_backend{backend=\"" << s.tm_backend << "\"} 1\n";
-  tm::Stats::for_each_field([&](const char* name,
-                                std::uint64_t tm::Stats::*field) {
-    const std::string metric = std::string("tmcv_tm_") + name + "_total";
+  s.tm.for_each_scalar([&](const std::string& name, std::uint64_t v) {
+    const std::string metric = "tmcv_tm_" + name + "_total";
     header(metric, "counter", "Cumulative TM runtime counter (tm::Stats).");
-    os << metric << " " << s.tm.*field << "\n";
-    if (std::strcmp(name, "aborts") == 0) {
+    os << metric << " " << v << "\n";
+    if (name == "aborts") {
       // The per-backend abort-reason breakdown rides the same family as
       // labeled samples (one HELP/TYPE header above covers them), so
       // sum by (backend) or by (reason) stays comparable to the unlabeled
@@ -361,20 +353,19 @@ std::string to_prometheus(const MetricsSnapshot& s) {
              << s.tm.aborts_by_backend[b][r] << "\n";
     }
   });
-  CondVarStats::for_each_field([&](const char* name,
-                                   std::uint64_t CondVarStats::*field) {
-    const std::string metric = std::string("tmcv_cv_") + name + "_total";
-    header(metric, "counter",
-           "Cumulative condition-variable counter (CondVarStats).");
-    os << metric << " " << s.cv.*field << "\n";
-  });
-  WakeStats::for_each_field([&](const char* name,
-                                std::uint64_t WakeStats::*field) {
-    const std::string metric = std::string("tmcv_wake_") + name + "_total";
-    header(metric, "counter",
-           "Cumulative wake-path counter (spin-then-park / wait morphing).");
-    os << metric << " " << s.wake.*field << "\n";
-  });
+  const auto family = [&](const char* prefix, const char* help,
+                          const auto& f) {
+    f.for_each_field([&](const char* name, auto field) {
+      const std::string metric = prefix + std::string(name) + "_total";
+      header(metric, "counter", help);
+      os << metric << " " << f.*field << "\n";
+    });
+  };
+  family("tmcv_cv_", "Cumulative condition-variable counter (CondVarStats).",
+         s.cv);
+  family("tmcv_wake_",
+         "Cumulative wake-path counter (spin-then-park / wait morphing).",
+         s.wake);
   header("tmcv_trace_events", "gauge",
          "Trace records currently retained across all rings.");
   os << "tmcv_trace_events " << s.trace_events << "\n";

@@ -3,11 +3,11 @@
 // condition-variable counters (CondVarStats), the latency histograms, and
 // the tracer's capture totals -- with JSON and Prometheus text exporters.
 //
-// Consistency model: a snapshot folds per-thread / per-object counters that
-// are maintained with relaxed (or plain, for TM descriptors) increments.
-// Values are therefore monotonic and *eventually consistent*: exact once
-// the measured threads are quiescent, approximate while they run.  What IS
-// guaranteed even under concurrency (since the registry routed the
+// Consistency model: a snapshot folds per-thread / per-object counter
+// families (util/counters.h) with one relaxed load per field.  Values are
+// therefore monotonic and *eventually consistent*: exact once the measured
+// threads are quiescent, each field exact at some instant while they run.
+// What IS guaranteed even under concurrency (the registry routes the
 // thread-exit fold through a mutex) is that no thread's counters are ever
 // double-counted or lost while it migrates from the live set to the retired
 // accumulator.

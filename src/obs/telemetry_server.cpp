@@ -32,7 +32,7 @@ namespace {
 std::string profile_json(const MetricsSnapshot& s) {
   constexpr std::size_t kTopN = 10;
   std::ostringstream os;
-  os << "{\n  \"aborts_conflict\": " << s.tm.aborts_conflict
+  os << "{\n  \"aborts_conflict\": " << s.tm.aborts_conflict()
      << ",\n  \"conflicts_recorded\": " << attr_conflicts_total(s.attribution)
      << ",\n  \"dropped\": " << s.attribution.dropped
      << ",\n  \"abort_sites\": [";

@@ -123,36 +123,40 @@ struct TimeSeriesRecorder::Impl {
     s.seq = taken;
     last_tick = now;
 
-    // Runtime counters: cumulative now, delta vs the previous tick.
-    const tm::Stats cur_tm = tm::stats_snapshot();
-    const CondVarStats cur_cv = condvar_stats_aggregate();
-    const WakeStats cur_wake = wake_stats_snapshot();
+    // Runtime counters: one family delta each vs the previous tick (-=
+    // clamps per field, so a mid-run stats_reset() yields 0).
+    const auto delta = [](auto& prev, const auto& cur) {
+      auto d = cur;
+      d -= prev;
+      prev = cur;
+      return d;
+    };
+    const tm::Stats dtm = delta(prev_tm, tm::stats_snapshot());
+    const CondVarStats dcv = delta(prev_cv, condvar_stats_aggregate());
+    const WakeStats dwake = delta(prev_wake, wake_stats_snapshot());
     const std::uint64_t cur_dropped = trace_counts().dropped;
 
     const auto d = [](std::uint64_t now_v, std::uint64_t prev_v) {
-      return now_v > prev_v ? now_v - prev_v : 0;  // counters are monotonic;
-    };  // clamp anyway so a mid-run stats_reset() yields 0, not wraparound
+      return now_v > prev_v ? now_v - prev_v : 0;  // clamped, like -=
+    };
 
-    s.commits = d(cur_tm.commits, prev_tm.commits);
-    s.aborts = d(cur_tm.aborts, prev_tm.aborts);
-    s.aborts_conflict = d(cur_tm.aborts_conflict, prev_tm.aborts_conflict);
-    s.aborts_capacity = d(cur_tm.aborts_capacity, prev_tm.aborts_capacity);
-    s.serial_fallbacks = d(cur_tm.serial_fallbacks, prev_tm.serial_fallbacks);
-    s.cm_serial_escalations =
-        d(cur_tm.cm_serial_escalations, prev_tm.cm_serial_escalations);
+    s.commits = dtm.commits;
+    s.aborts = dtm.aborts;
+    s.aborts_conflict = dtm.aborts_conflict();
+    s.aborts_capacity = dtm.aborts_capacity();
+    s.serial_fallbacks = dtm.serial_fallbacks;
+    s.cm_serial_escalations = dtm.cm_serial_escalations;
 
-    s.cv_waits = d(cur_cv.waits, prev_cv.waits);
-    s.notifies = d(cur_cv.notify_one_calls + cur_cv.notify_all_calls +
-                       cur_cv.notify_best_calls,
-                   prev_cv.notify_one_calls + prev_cv.notify_all_calls +
-                       prev_cv.notify_best_calls);
-    s.threads_woken = d(cur_cv.threads_woken, prev_cv.threads_woken);
-    s.lost_notifies = d(cur_cv.lost_notifies, prev_cv.lost_notifies);
+    s.cv_waits = dcv.waits;
+    s.notifies =
+        dcv.notify_one_calls + dcv.notify_all_calls + dcv.notify_best_calls;
+    s.threads_woken = dcv.threads_woken;
+    s.lost_notifies = dcv.lost_notifies;
 
-    s.parks = d(cur_wake.parks, prev_wake.parks);
-    s.parks_avoided = d(cur_wake.parks_avoided, prev_wake.parks_avoided);
-    s.requeues = d(cur_wake.requeues, prev_wake.requeues);
-    s.handoffs = d(cur_wake.handoffs, prev_wake.handoffs);
+    s.parks = dwake.parks;
+    s.parks_avoided = dwake.parks_avoided;
+    s.requeues = dwake.requeues;
+    s.handoffs = dwake.handoffs;
 
     s.trace_dropped = d(cur_dropped, prev_trace_dropped);
 
@@ -212,9 +216,6 @@ struct TimeSeriesRecorder::Impl {
     s.wait_cycles = wp.wait_cycles;
     s.threads_waiting = wp.threads_waiting;
 
-    prev_tm = cur_tm;
-    prev_cv = cur_cv;
-    prev_wake = cur_wake;
     prev_trace_dropped = cur_dropped;
 
     ring[static_cast<std::size_t>(taken % opts.depth)] = s;

@@ -127,11 +127,10 @@ class Semaphore {
       obs::region_end(obs::Event::kSemSpin, s0, &obs::hist_spin_park());
 #endif
     if (spun && try_wait()) {
-      detail::wake_counters().parks_avoided.fetch_add(
-          1, std::memory_order_relaxed);
+      counters::add(detail::wake_counters().parks_avoided);
       return;
     }
-    detail::wake_counters().parks.fetch_add(1, std::memory_order_relaxed);
+    counters::add(detail::wake_counters().parks);
     // Publish the park into the wait-point registry (outermost scope wins:
     // under a condvar wait this is a nested no-op and the condvar's richer
     // reason/site stays visible).
@@ -281,11 +280,10 @@ class BinarySemaphore {
       obs::region_end(obs::Event::kSemSpin, s0, &obs::hist_spin_park());
 #endif
     if (spun && try_wait()) {
-      detail::wake_counters().parks_avoided.fetch_add(
-          1, std::memory_order_relaxed);
+      counters::add(detail::wake_counters().parks_avoided);
       return;
     }
-    detail::wake_counters().parks.fetch_add(1, std::memory_order_relaxed);
+    counters::add(detail::wake_counters().parks);
     WaitScope wp(WaitReason::kSemaphore, this);
     for (;;) {
       std::uint32_t one = 1;

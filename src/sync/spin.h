@@ -92,8 +92,8 @@ template <typename ReadyFn>
   detail::SpinControl& ctl = detail::my_spin_control();
   const unsigned rounds = ctl.effective_rounds(max_rounds);
 
-  auto& counters = detail::wake_counters();
-  counters.spin_attempts.fetch_add(1, std::memory_order_relaxed);
+  WakeStats& wake = detail::wake_counters();
+  counters::add(wake.spin_attempts);
 
   Backoff backoff;
   bool got_token = false;
@@ -106,7 +106,7 @@ template <typename ReadyFn>
     backoff.wait();
   }
 
-  counters.spin_rounds.fetch_add(spent, std::memory_order_relaxed);
+  counters::add(wake.spin_rounds, spent);
   ctl.record(got_token);
   return got_token;
 }

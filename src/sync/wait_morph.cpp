@@ -74,7 +74,7 @@ void morph_requeue(const void* key, MorphWaiter* w) noexcept {
     s.head = w;
   s.tail = w;
   s.lock.unlock();
-  detail::wake_counters().requeues.fetch_add(1, std::memory_order_relaxed);
+  counters::add(detail::wake_counters().requeues);
 }
 
 bool morph_advance(const void* key) noexcept {
@@ -97,7 +97,7 @@ bool morph_advance(const void* key) noexcept {
   }
   s.lock.unlock();
   if (w == nullptr) return false;
-  detail::wake_counters().handoffs.fetch_add(1, std::memory_order_relaxed);
+  counters::add(detail::wake_counters().handoffs);
   // Post outside the shard lock: post may futex_wake, and nothing about the
   // list depends on it.  w's key stays set so the woken waiter relays.
   w->sem->post();

@@ -2,21 +2,24 @@
 // semaphore slow path and the wait-morphing notify handoff.
 //
 // These live at the sync layer (not obs/) because the semaphores themselves
-// maintain them: they are always-on relaxed counters like tm::Stats and
+// maintain them: they are always-on counters like tm::Stats and
 // CondVarStats, not trace hooks, so they exist in TMCV_TRACE=OFF builds and
 // cost one relaxed fetch_add on paths that already pay a syscall or a spin.
 // The metrics registry (obs/metrics.h) folds them into its snapshot.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+
+#include "util/cacheline.h"
+#include "util/counters.h"
 
 namespace tmcv {
 
-// Snapshot of the wake-path counters.  Same consistency model as
-// CondVarStats: each field is an exact monotonic count at some instant
-// during the snapshot call; cross-field invariants hold only at quiescence.
-struct WakeStats {
+// The wake-path counter family (util/counters.h).  Same consistency model
+// as CondVarStats: each field of a snapshot is an exact monotonic count at
+// some instant during the snapshot call; cross-field invariants hold only
+// at quiescence.
+struct WakeStats : counters::Family<WakeStats> {
   std::uint64_t spin_attempts = 0;  // slow-path waits that entered the spin
   std::uint64_t spin_rounds = 0;    // total backoff rounds across attempts
   std::uint64_t parks_avoided = 0;  // token arrived mid-spin: no futex_wait
@@ -27,7 +30,7 @@ struct WakeStats {
                                     // advance (one per lock reacquisition)
 
   // Visit every counter as (name, member pointer): single source of truth
-  // for the arithmetic below and the metrics exporters.
+  // for counters.h and the metrics exporters.
   template <typename Fn>
   static constexpr void for_each_field(Fn&& fn) {
     fn("spin_attempts", &WakeStats::spin_attempts);
@@ -37,62 +40,28 @@ struct WakeStats {
     fn("requeues", &WakeStats::requeues);
     fn("handoffs", &WakeStats::handoffs);
   }
-
-  WakeStats& operator+=(const WakeStats& o) noexcept {
-    for_each_field(
-        [&](const char*, std::uint64_t WakeStats::*f) { this->*f += o.*f; });
-    return *this;
-  }
-
-  WakeStats& operator-=(const WakeStats& o) noexcept {
-    for_each_field(
-        [&](const char*, std::uint64_t WakeStats::*f) { this->*f -= o.*f; });
-    return *this;
-  }
 };
 
 namespace detail {
 
-// One cache line of process-wide relaxed atomics.  Mutations happen on slow
-// paths only (a spin, a park, a morph requeue/advance), so a shared line is
-// cheaper than per-thread slots plus a registry.
-struct WakeCounters {
-  std::atomic<std::uint64_t> spin_attempts{0};
-  std::atomic<std::uint64_t> spin_rounds{0};
-  std::atomic<std::uint64_t> parks_avoided{0};
-  std::atomic<std::uint64_t> parks{0};
-  std::atomic<std::uint64_t> requeues{0};
-  std::atomic<std::uint64_t> handoffs{0};
-};
-
-inline WakeCounters& wake_counters() noexcept {
-  static WakeCounters c;
+// The process-wide storage, on its own cache line; any thread bumps it with
+// counters::add.  Mutations happen on slow paths only (a spin, a park, a
+// morph requeue/advance), so a shared line is cheaper than per-thread slots
+// plus a registry.
+inline WakeStats& wake_counters() noexcept {
+  alignas(kCacheLine) static WakeStats c;
   return c;
 }
 
 }  // namespace detail
 
 [[nodiscard]] inline WakeStats wake_stats_snapshot() noexcept {
-  detail::WakeCounters& c = detail::wake_counters();
-  WakeStats s;
-  s.spin_attempts = c.spin_attempts.load(std::memory_order_relaxed);
-  s.spin_rounds = c.spin_rounds.load(std::memory_order_relaxed);
-  s.parks_avoided = c.parks_avoided.load(std::memory_order_relaxed);
-  s.parks = c.parks.load(std::memory_order_relaxed);
-  s.requeues = c.requeues.load(std::memory_order_relaxed);
-  s.handoffs = c.handoffs.load(std::memory_order_relaxed);
-  return s;
+  return counters::load(detail::wake_counters());
 }
 
 // Benchmark support: zero the counters between phases (call at quiescence).
 inline void wake_stats_reset() noexcept {
-  detail::WakeCounters& c = detail::wake_counters();
-  c.spin_attempts.store(0, std::memory_order_relaxed);
-  c.spin_rounds.store(0, std::memory_order_relaxed);
-  c.parks_avoided.store(0, std::memory_order_relaxed);
-  c.parks.store(0, std::memory_order_relaxed);
-  c.requeues.store(0, std::memory_order_relaxed);
-  c.handoffs.store(0, std::memory_order_relaxed);
+  counters::reset(detail::wake_counters());
 }
 
 }  // namespace tmcv

@@ -25,7 +25,7 @@ bool set_backend(Backend b) {
   serial_lock().acquire(d.slot());
   set_default_backend(b);
   serial_lock().release();
-  ++d.stats().backend_switches;
+  counters::bump(d.stats().backend_switches);
   return true;
 }
 
@@ -65,10 +65,9 @@ Backend policy_step(WindowState& w, const AdaptiveKnobs& k,
   std::uint64_t active = 0;
   for (std::uint64_t slot = 0; slot < n && slot < kMaxThreads; ++slot) {
     std::uint64_t ops = w.prev_ops[slot];
-    if (const TxDescriptor* d = reg.descriptor(slot)) {
-      const Stats& s = const_cast<TxDescriptor*>(d)->stats();
-      ops = s.commits + s.aborts;  // racy-but-approximate, like snapshots
-    }
+    if (TxDescriptor* d = reg.descriptor(slot))
+      ops = counters::load(d->stats().commits) +
+            counters::load(d->stats().aborts);
     if (slot != self_slot && ops != w.prev_ops[slot]) ++active;
     w.prev_ops[slot] = ops;
   }

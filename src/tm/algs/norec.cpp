@@ -41,17 +41,17 @@ std::uint64_t TxDescriptor::read_norec_slow(
   for (;;) {
     const std::uint64_t value = addr->load(std::memory_order_acquire);
     if (algs::norec_clock().load(std::memory_order_acquire) == start_time_) {
-      ++stats_.reads;
+      counters::bump(stats_.reads);
       norec_reads_.push_back(NorecReadEntry{addr, value});
       return value;
     }
     norec_validate();
-    ++stats_.extensions;
+    counters::bump(stats_.extensions);
   }
 }
 
 std::uint64_t TxDescriptor::norec_validate() {
-  ++stats_.norec_validations;
+  counters::bump(stats_.norec_validations);
   auto& clk = algs::norec_clock();
   for (;;) {
     // Wait out any in-flight write-back, then compare every logged value
@@ -60,7 +60,7 @@ std::uint64_t TxDescriptor::norec_validate() {
     const std::uint64_t t = algs::norec_begin_snapshot();
     for (const NorecReadEntry& e : norec_reads_) {
       if (e.addr->load(std::memory_order_acquire) != e.value) {
-        ++stats_.norec_val_failures;
+        counters::bump(stats_.norec_val_failures);
         abort_restart(TxAbort::Reason::Conflict);
       }
     }
@@ -90,7 +90,7 @@ void TxDescriptor::commit_norec() {
   if (redo_log_.empty()) {
     // Read-only: every read was validated against an unmoved counter at the
     // time it was logged, and read-only transactions need no write-back.
-    ++stats_.ro_commits;
+    counters::bump(stats_.ro_commits);
     reset_logs();
     return;
   }
@@ -109,7 +109,7 @@ void TxDescriptor::commit_norec() {
   for (const RedoEntry& w : redo_log_)
     w.addr->store(w.value, std::memory_order_release);
   clk.store(t + 2, std::memory_order_release);
-  ++stats_.norec_commits;
+  counters::bump(stats_.norec_commits);
   reset_logs();
   bump_commit_signal();
 }

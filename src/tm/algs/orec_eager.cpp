@@ -44,12 +44,12 @@ void TxDescriptor::commit_eager() {
   if (lock_set_.empty()) {
     // Read-only: the per-read validation already proved consistency at
     // start_time_; nothing to publish.
-    ++stats_.ro_commits;
+    counters::bump(stats_.ro_commits);
     reset_logs();
     return;
   }
   const VersionClock::Tick t = global_clock().tick();
-  stats_.clock_cas_reuses += t.reused;
+  counters::bump(stats_.clock_cas_reuses, t.reused);
   // If we won the tick and nobody committed since our snapshot, reads are
   // trivially valid; a reused tick means someone DID commit concurrently,
   // so the skip is never sound then (see VersionClock::tick).

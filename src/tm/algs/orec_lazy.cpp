@@ -22,7 +22,8 @@ void TxDescriptor::write_lazy(std::atomic<std::uint64_t>* addr,
   const auto idx = static_cast<std::uint32_t>(redo_log_.size());
   redo_log_.push_back(RedoEntry{addr, value});
   if (redo_indexed_) {
-    if (redo_index_.upsert(addr, idx)) ++stats_.log_index_rehashes;
+    if (redo_index_.upsert(addr, idx))
+      counters::bump(stats_.log_index_rehashes);
   } else if (redo_log_.size() > kRedoIndexThreshold) {
     build_redo_index();
   }
@@ -33,13 +34,14 @@ void TxDescriptor::build_redo_index() {
   // switch find_redo to O(1) for the rest of the transaction.  (The index
   // was reset for this log epoch at begin, so plain inserts suffice.)
   for (std::uint32_t i = 0; i < redo_log_.size(); ++i)
-    if (redo_index_.upsert(redo_log_[i].addr, i)) ++stats_.log_index_rehashes;
+    if (redo_index_.upsert(redo_log_[i].addr, i))
+      counters::bump(stats_.log_index_rehashes);
   redo_indexed_ = true;
 }
 
 void TxDescriptor::commit_lazy() {
   if (redo_log_.empty()) {
-    ++stats_.ro_commits;
+    counters::bump(stats_.ro_commits);
     reset_logs();
     return;
   }
@@ -98,7 +100,7 @@ void TxDescriptor::commit_lazy() {
     }
   }
   const VersionClock::Tick t = global_clock().tick();
-  stats_.clock_cas_reuses += t.reused;
+  counters::bump(stats_.clock_cas_reuses, t.reused);
   if ((t.reused || t.time != start_time_ + 1) && !reads_valid_orec())
     abort_restart(TxAbort::Reason::Conflict);
   for (const RedoEntry& w : redo_log_)

@@ -22,9 +22,8 @@
 // Thread-safety note on statistics: stats_snapshot is safe to call while
 // threads run and exit -- the registry serializes thread-exit folds against
 // snapshot scans, so no thread's counters are double-counted or lost; live
-// counters are read with per-field eventual consistency.  stats_reset still
-// assumes no transaction is concurrently in flight (call it between
-// benchmark phases).
+// counters are read with per-field eventual consistency.  stats_reset only
+// records a baseline, so it is safe while transactions run too.
 #pragma once
 
 #include <functional>
@@ -180,6 +179,7 @@ void run_optimistic(Backend backend, F&& fn) {
   bool hard_fail = false;
   for (int attempt = 1;; ++attempt) {
     const bool spent = attempt > budget || hard_fail;
+    bool serial = false;  // this attempt runs under the serial lock
     if (spent && software_rung_left) {
       // Hardware gave up on this closure: step down to software.
       note_htm_fallback();
@@ -191,31 +191,25 @@ void run_optimistic(Backend backend, F&& fn) {
     } else if ((spent || d.cm().wants_serial()) && !has_retry_waited) {
       // Escalate: run irrevocably under the serial lock.  A conflict streak
       // at the CM limit escalates from any rung.
-      ++d.stats().serial_fallbacks;
+      serial = true;
+      counters::bump(d.stats().serial_fallbacks);
       // A conflict streak hitting the CM limit before the attempt budget is
       // exhausted is the adaptive (karma-style) escalation; count it apart
       // from plain budget exhaustion.
-      if (!spent) ++d.stats().cm_serial_escalations;
+      if (!spent) counters::bump(d.stats().cm_serial_escalations);
       cm_note_serial_escalation(d.txn_site());
       if (rung == Backend::HTM) note_htm_fallback();
-      d.begin_serial();
-      try {
-        fn();
-      } catch (...) {
-        // Irrevocable transactions cannot roll back; commit what ran and
-        // propagate (mirrors GCC libitm's behaviour for unsafe exceptions).
-        // A split WAIT may already have closed the serial section.
-        if (d.state() == TxState::Serial) d.commit_serial();
-        throw;
-      }
-      d.commit_top();
-      return;
     }
-    d.begin_top(rung);
+    // The serial section stays undoable until its first write, so a
+    // retry_wait before that gives the lock back and waits below.
+    if (serial)
+      d.begin_serial(1, /*undoable=*/true);
+    else
+      d.begin_top(rung);
     try {
       fn();
       d.commit_top();
-      if (rung == Backend::HTM) note_htm_commit();
+      if (!serial && rung == Backend::HTM) note_htm_commit();
       return;
     } catch (const TxAbort& abort) {
       if (abort.reason == TxAbort::Reason::RetryWait) {
@@ -233,9 +227,14 @@ void run_optimistic(Backend backend, F&& fn) {
         d.backoff_for_retry();
       }
     } catch (...) {
-      // A non-TM exception escaping the body aborts the transaction (all
-      // speculative effects undone) and propagates to the caller.
-      if (d.in_txn()) {
+      if (serial) {
+        // Irrevocable transactions cannot roll back; commit what ran and
+        // propagate (mirrors GCC libitm's behaviour for unsafe exceptions).
+        // A split WAIT may already have closed the serial section.
+        if (d.state() == TxState::Serial) d.commit_serial();
+      } else if (d.in_txn()) {
+        // A non-TM exception escaping the body aborts the transaction (all
+        // speculative effects undone) and propagates to the caller.
         try {
           d.abort_restart(TxAbort::Reason::Explicit);
         } catch (const TxAbort&) {

@@ -110,7 +110,7 @@ void TxDescriptor::detach() {
   detail::tls_descriptor = nullptr;
   waitpoint_unbind_tm_slot();
   registry().unregister_thread(slot_, stats_);
-  stats_ = Stats{};
+  counters::reset(stats_);  // racing readers may still hold this slot
 }
 
 namespace {
@@ -280,7 +280,7 @@ void TxDescriptor::commit_top() {
   state_ = TxState::Idle;
   depth_ = 0;
   activity_end();
-  ++stats_.commits;
+  counters::bump(stats_.commits);
   cm_.note_commit();
 #if TMCV_TRACE
   obs::region_end(obs::Event::kTxnCommit, txn_begin_ticks_,
@@ -291,24 +291,8 @@ void TxDescriptor::commit_top() {
 
 void TxDescriptor::abort_restart(TxAbort::Reason reason) {
   TMCV_ASSERT(state_ == TxState::Optimistic);
-  switch (reason) {
-    case TxAbort::Reason::Conflict:
-      ++stats_.aborts_conflict;
-      break;
-    case TxAbort::Reason::Capacity:
-      ++stats_.aborts_capacity;
-      break;
-    case TxAbort::Reason::Syscall:
-      ++stats_.aborts_syscall;
-      break;
-    case TxAbort::Reason::Explicit:
-      ++stats_.aborts_explicit;
-      break;
-    case TxAbort::Reason::RetryWait:
-      break;  // counted in retry_and_wait
-  }
-  ++stats_.aborts_by_backend[static_cast<std::size_t>(backend_)]
-                            [static_cast<std::size_t>(reason)];
+  counters::bump(stats_.aborts_by_backend[static_cast<std::size_t>(backend_)]
+                                         [static_cast<std::size_t>(reason)]);
   cm_.note_abort(reason);
 #if TMCV_TRACE
   // Attribution reason codes mirror TxAbort::Reason numerically.
@@ -345,7 +329,7 @@ void TxDescriptor::abort_restart(TxAbort::Reason reason) {
   state_ = TxState::Idle;
   depth_ = 0;
   activity_end();
-  ++stats_.aborts;
+  counters::bump(stats_.aborts);
 #if TMCV_TRACE
   obs::region_end(obs::Event::kTxnAbort, txn_begin_ticks_,
                   &obs::hist_txn_abort(),
@@ -355,24 +339,30 @@ void TxDescriptor::abort_restart(TxAbort::Reason reason) {
 }
 
 void TxDescriptor::retry_and_wait() {
-  TMCV_ASSERT_MSG(state_ == TxState::Optimistic,
-                  "retry_wait requires an optimistic transaction "
-                  "(irrevocable transactions cannot roll back)");
+  const bool serial = state_ == TxState::Serial;
+  TMCV_ASSERT_MSG(
+      state_ == TxState::Optimistic || (serial && serial_undoable_),
+      "retry_wait requires an optimistic transaction "
+      "(irrevocable transactions cannot roll back)");
   // Observe the signal BEFORE validating: any commit that could invalidate
   // the predicate decision lands after our snapshot and therefore bumps a
   // value we have already captured -- the sleep then returns immediately.
+  // (A serial section holds the lock: nothing commits until it lets go.)
   const std::uint32_t observed =
       g_commit_signal->load(std::memory_order_seq_cst);
-  if (!reads_valid()) abort_restart(TxAbort::Reason::Conflict);
-  rollback();
+  if (!serial && !reads_valid()) abort_restart(TxAbort::Reason::Conflict);
+  rollback();  // serial: logs are empty, this only drops queued notifies
   run_abort_handlers();
   state_ = TxState::Idle;
   depth_ = 0;
-  activity_end();
-  ++stats_.aborts;
-  ++stats_.aborts_retry_wait;
-  ++stats_.aborts_by_backend[static_cast<std::size_t>(backend_)][static_cast<
-      std::size_t>(TxAbort::Reason::RetryWait)];
+  if (serial)
+    g_serial.release();
+  else
+    activity_end();
+  counters::bump(stats_.aborts);
+  counters::bump(
+      stats_.aborts_by_backend[static_cast<std::size_t>(backend_)][static_cast<
+          std::size_t>(TxAbort::Reason::RetryWait)]);
 #if TMCV_TRACE
   obs::attr_record_abort(txn_site(), obs::kAttrReasonRetryWait);
   obs::region_end(obs::Event::kTxnAbort, txn_begin_ticks_,
@@ -384,7 +374,7 @@ void TxDescriptor::retry_and_wait() {
   throw abort;
 }
 
-void TxDescriptor::begin_serial(std::uint32_t depth) {
+void TxDescriptor::begin_serial(std::uint32_t depth, bool undoable) {
   TMCV_ASSERT_MSG(state_ == TxState::Idle,
                   "cannot upgrade an active optimistic transaction; declare "
                   "irrevocability at the outermost begin");
@@ -403,6 +393,7 @@ void TxDescriptor::begin_serial(std::uint32_t depth) {
   state_ = TxState::Serial;
   depth_ = depth;
   split_done_ = false;
+  serial_undoable_ = undoable;
 }
 
 void TxDescriptor::commit_serial() {
@@ -410,8 +401,8 @@ void TxDescriptor::commit_serial() {
   state_ = TxState::Idle;
   depth_ = 0;
   g_serial.release();
-  ++stats_.commits;
-  ++stats_.serial_commits;
+  counters::bump(stats_.commits);
+  counters::bump(stats_.serial_commits);
   cm_.note_commit();
 #if TMCV_TRACE
   obs::region_end(obs::Event::kTxnCommit, txn_begin_ticks_,
@@ -463,7 +454,7 @@ void TxDescriptor::maybe_chaos_abort() {
   if (rate == 0) return;
   thread_local Xoshiro256 rng(0xC4405u + slot_);
   if (rng.next_below(1000000) < rate) {
-    ++stats_.htm_chaos_aborts;
+    counters::bump(stats_.htm_chaos_aborts);
     abort_restart(TxAbort::Reason::Conflict);
   }
 }
@@ -477,7 +468,7 @@ std::uint64_t TxDescriptor::read_optimistic(
     if (orec_is_locked(seen)) {
       if (orec_locked_by_me(seen)) {
         // Eager/HTM write-through: our own speculative value is current.
-        ++stats_.reads;
+        counters::bump(stats_.reads);
         return addr->load(std::memory_order_relaxed);
       }
       // Locked by a concurrent writer: conflict.
@@ -503,7 +494,7 @@ std::uint64_t TxDescriptor::read_optimistic(
     // must not widen just because the software read set got denser.
     if (backend_ == Backend::HTM && ++htm_reads_ > kHtmReadCapacity)
       abort_restart(TxAbort::Reason::Capacity);
-    ++stats_.reads;
+    counters::bump(stats_.reads);
     const auto idx = static_cast<std::uint64_t>(&o - detail::g_orecs);
     note_read(&o, seen, idx);
     return value;
@@ -524,12 +515,13 @@ void TxDescriptor::write_word(std::atomic<std::uint64_t>* addr,
       addr->store(value, std::memory_order_release);
       return;
     case TxState::Serial:
+      serial_undoable_ = false;
       addr->store(value, std::memory_order_release);
       return;
     case TxState::Optimistic:
       break;
   }
-  ++stats_.writes;
+  counters::bump(stats_.writes);
   if (backend_ == Backend::EagerSTM || backend_ == Backend::HTM)
     write_eager(addr, value);  // write-through, undo log
   else
@@ -572,7 +564,7 @@ bool TxDescriptor::extend() {
   const std::uint64_t now = g_clock.now();
   if (!reads_valid_orec()) return false;
   start_time_ = now;
-  ++stats_.extensions;
+  counters::bump(stats_.extensions);
   return true;
 }
 
@@ -601,34 +593,34 @@ bool TxDescriptor::reads_valid_orec() const noexcept {
 
 void TxDescriptor::on_commit(std::function<void()> fn) {
   if (!in_txn()) {
-    ++stats_.handlers_run;
+    counters::bump(stats_.handlers_run);
     fn();
     return;
   }
-  ++stats_.handlers_registered;
+  counters::bump(stats_.handlers_registered);
   commit_handlers_.push_back(std::move(fn));
 }
 
 void TxDescriptor::on_commit_fn(HandlerFn fn, void* ctx) {
   if (!in_txn()) {
-    ++stats_.handlers_run;
+    counters::bump(stats_.handlers_run);
     fn(ctx);
     return;
   }
   if (commit_fn_count_ < kInlineHandlerSlots) {
-    ++stats_.handlers_inline;
+    counters::bump(stats_.handlers_inline);
     commit_fns_[commit_fn_count_++] = InlineHandler{fn, ctx};
     return;
   }
   // Slot overflow: degrade to the allocating path rather than drop.
-  ++stats_.handlers_registered;
+  counters::bump(stats_.handlers_registered);
   commit_handlers_.push_back([fn, ctx] { fn(ctx); });
 }
 
 void TxDescriptor::on_abort_fn(HandlerFn fn, void* ctx) {
   if (!in_txn()) return;  // nothing to compensate outside a transaction
   if (abort_fn_count_ < kInlineHandlerSlots) {
-    ++stats_.handlers_inline;
+    counters::bump(stats_.handlers_inline);
     abort_fns_[abort_fn_count_++] = InlineHandler{fn, ctx};
     return;
   }
@@ -640,13 +632,13 @@ void TxDescriptor::defer_wake(BinarySemaphore* sem) {
     sem->post();
     return;
   }
-  ++stats_.deferred_wakes;
+  counters::bump(stats_.deferred_wakes);
   wake_batch_.push_back(sem);
 }
 
 void TxDescriptor::flush_wake_batch() noexcept {
   if (wake_batch_.empty()) return;
-  ++stats_.wake_batches;
+  counters::bump(stats_.wake_batches);
   BinarySemaphore::post_batch(wake_batch_.data(), wake_batch_.size());
   wake_batch_.clear();
 }
@@ -671,7 +663,7 @@ void TxDescriptor::run_commit_handlers() {
     for (std::size_t i = 0; i < n; ++i) fns[i] = commit_fns_[i];
     commit_fn_count_ = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      ++stats_.handlers_run;
+      counters::bump(stats_.handlers_run);
       fns[i].fn(fns[i].ctx);
     }
   }
@@ -679,7 +671,7 @@ void TxDescriptor::run_commit_handlers() {
   std::vector<std::function<void()>> handlers = std::move(commit_handlers_);
   commit_handlers_.clear();
   for (auto& h : handlers) {
-    ++stats_.handlers_run;
+    counters::bump(stats_.handlers_run);
     h();
   }
 }
@@ -742,7 +734,7 @@ void TxDescriptor::note_lock(Orec* o, OrecWord prior) {
 }
 
 OrecWord TxDescriptor::wait_for_orec_unlock(Orec& o) noexcept {
-  ++stats_.cm_waits;
+  counters::bump(stats_.cm_waits);
 #if TMCV_TRACE
   const std::uint64_t t0 = obs::region_begin();
 #endif
@@ -780,7 +772,7 @@ OrecWord TxDescriptor::wait_for_orec_unlock(Orec& o) noexcept {
 }
 
 void TxDescriptor::backoff_for_retry() noexcept {
-  ++stats_.cm_backoffs;
+  counters::bump(stats_.cm_backoffs);
 #if TMCV_TRACE
   const std::uint64_t t0 = obs::region_begin();
 #endif
@@ -791,7 +783,8 @@ void TxDescriptor::backoff_for_retry() noexcept {
 }
 
 void TxDescriptor::reset_logs() noexcept {
-  stats_.read_dedup_appends += static_cast<std::uint64_t>(rs_end_ - rs_base_);
+  counters::bump(stats_.read_dedup_appends,
+                 static_cast<std::uint64_t>(rs_end_ - rs_base_));
   rs_end_ = rs_base_;
   lock_set_.clear();
   undo_log_.clear();

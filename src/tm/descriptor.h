@@ -116,12 +116,15 @@ class TxDescriptor {
   // the retry loop sleeps until some writing commit bumps the signal, then
   // re-runs the closure.  Coarse (any commit wakes) but lost-wakeup-free:
   // the signal is observed before validation, so no commit that could have
-  // changed the predicate is missed.
+  // changed the predicate is missed.  Also legal in an `undoable` serial
+  // section before its first write: it gives the serial lock back.
   [[noreturn]] void retry_and_wait();
 
   // ---- serial / irrevocable ----
 
-  void begin_serial(std::uint32_t depth = 1);
+  // `undoable`: the retry loop escalated here, so retry_and_wait may
+  // abandon the section until its first write.
+  void begin_serial(std::uint32_t depth = 1, bool undoable = false);
   void commit_serial();
 
   // ---- early commit & split transactions (WAIT support, paper §3.2/§4.2) --
@@ -207,6 +210,8 @@ class TxDescriptor {
   }
 
   // ---- stats & contention management ----
+  // Only the owning thread writes stats (counters::bump); other threads
+  // read them with counters::load.
   Stats& stats() noexcept { return stats_; }
   ContentionManager& cm() noexcept { return cm_; }
 
@@ -304,7 +309,7 @@ class TxDescriptor {
     std::uint64_t& slot = read_filter_[idx & (kReadFilterSlots - 1)];
     const bool hit = slot == tag;
     slot = tag;
-    stats_.read_dedup_hits += hit;
+    counters::bump(stats_.read_dedup_hits, hit);
     if (rs_end_ == rs_cap_) [[unlikely]] read_set_grow();
     rs_end_->orec = o;  // unconditional store into reserved slack;
     rs_end_->seen = seen;
@@ -485,6 +490,7 @@ class TxDescriptor {
   std::uint32_t depth_ = 0;
   std::uint32_t saved_depth_ = 0;
   bool split_done_ = false;
+  bool serial_undoable_ = false;  // see begin_serial
   std::uint64_t start_time_ = 0;
 
   // Read set: a manually managed buffer instead of std::vector so note_read
@@ -619,7 +625,7 @@ inline std::uint64_t TxDescriptor::read_word(
       const std::uint64_t value = addr->load(std::memory_order_acquire);
       if (algs::norec_clock().load(std::memory_order_acquire) ==
           start_time_) [[likely]] {
-        ++stats_.reads;
+        counters::bump(stats_.reads);
         norec_reads_.push_back({addr, value});
         return value;
       }
@@ -640,7 +646,7 @@ inline std::uint64_t TxDescriptor::read_word(
   if (orec_is_locked(seen) || o.load(std::memory_order_acquire) != seen ||
       orec_version(seen) > start_time_) [[unlikely]]
     return read_optimistic(addr);  // full protocol: own locks, extension...
-  ++stats_.reads;
+  counters::bump(stats_.reads);
   // A filter hit skips the append: the logged word still matches the
   // current one, since any commit to this stripe after the first read
   // either fails the version check above or fails the extension's

@@ -40,22 +40,26 @@ void Registry::unregister_thread(std::uint64_t slot,
   slots_[slot].store(nullptr, std::memory_order_release);
 }
 
-void Registry::snapshot_stats(Stats& into) const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
+Stats Registry::fold_locked() const {
+  Stats total = retired_;
   const std::uint64_t n = high_water();
   for (std::uint64_t slot = 0; slot < n; ++slot) {
-    if (TxDescriptor* desc = descriptor(slot)) into += desc->stats();
+    if (TxDescriptor* desc = descriptor(slot))
+      total += counters::load(desc->stats());
   }
-  into += retired_;
+  return total;
+}
+
+Stats Registry::snapshot_stats() const {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  Stats s = fold_locked();
+  s -= baseline_;
+  return s;
 }
 
 void Registry::reset_stats() {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  const std::uint64_t n = high_water();
-  for (std::uint64_t slot = 0; slot < n; ++slot) {
-    if (TxDescriptor* desc = descriptor(slot)) desc->stats() = Stats{};
-  }
-  retired_ = Stats{};
+  baseline_ = fold_locked();
 }
 
 }  // namespace tmcv::tm

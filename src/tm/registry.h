@@ -39,16 +39,13 @@ class Registry {
     return high_water_.load(std::memory_order_acquire);
   }
 
-  // Fold every live descriptor's counters plus the retired accumulator
-  // into `into`, under the same mutex unregister_thread holds across its
-  // fold-and-clear.  Live counters are read while their owners may still
-  // increment them (eventually-consistent per field); the live/retired
-  // migration itself is exact.
-  void snapshot_stats(Stats& into) const;
+  // Every live descriptor's counters (relaxed loads) plus the retired
+  // accumulator, minus the baseline.  Runs under the mutex that
+  // unregister_thread holds across its fold-and-clear, so the live/retired
+  // migration is exact.
+  [[nodiscard]] Stats snapshot_stats() const;
 
-  // Zero every live descriptor's counters and the retired accumulator.
-  // Assumes no transaction is in flight (documented contract of
-  // stats_reset).
+  // Record the current fold as the baseline; writes no descriptor.
   void reset_stats();
 
  private:
@@ -60,6 +57,9 @@ class Registry {
   // snapshot/reset, never per transaction.
   mutable std::mutex stats_mu_;
   Stats retired_{};
+  Stats baseline_{};
+
+  [[nodiscard]] Stats fold_locked() const;
 };
 
 Registry& registry() noexcept;

@@ -1,13 +1,17 @@
 // TM runtime statistics.
 //
-// Counters are accumulated per-descriptor without synchronization and folded
-// into a process-wide snapshot on demand (and when a thread exits).  They
+// Each descriptor owns one Stats and is its only writer (counters::bump);
+// the registry folds every descriptor's counters into a process-wide
+// snapshot with relaxed loads (and retires them when a thread exits).  They
 // power the benchmark reports and the dedup-anomaly diagnosis.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
+
+#include "util/counters.h"
 
 namespace tmcv::tm {
 
@@ -22,7 +26,7 @@ inline constexpr std::size_t kStatsAbortReasons = 5;  // conflict capacity sysca
 // uses backend_label(static_cast<Backend>(i)).
 [[nodiscard]] const char* stats_abort_reason_label(std::size_t i) noexcept;
 
-struct Stats {
+struct Stats : counters::Family<Stats> {
   // The first four fields are the read/write fast-path counters: keep them
   // together so the per-access increments touch a single cache line.
   std::uint64_t reads = 0;               // instrumented word reads
@@ -39,13 +43,6 @@ struct Stats {
   std::uint64_t serial_fallbacks = 0;  // optimistic -> serial escalations
   std::uint64_t htm_chaos_aborts = 0;  // injected asynchronous aborts
   std::uint64_t handlers_run = 0;      // onCommit handlers executed
-
-  // Abort-reason breakdown (sums to `aborts`).
-  std::uint64_t aborts_conflict = 0;    // validation/acquisition conflicts
-  std::uint64_t aborts_capacity = 0;    // HTM capacity overflow
-  std::uint64_t aborts_syscall = 0;     // syscall fence in hardware
-  std::uint64_t aborts_explicit = 0;    // user-directed retry_txn
-  std::uint64_t aborts_retry_wait = 0;  // retry_wait self-aborts
 
   // Contention-management instrumentation.
   std::uint64_t clock_cas_reuses = 0;       // GV4 adopted (pass-on-failure)
@@ -73,10 +70,23 @@ struct Stats {
   std::uint64_t backend_switches = 0;
 
   // Per-backend abort-reason matrix: aborts_by_backend[backend][reason],
-  // axes labeled by backend_label / stats_abort_reason_label.  NOT in
-  // for_each_field (that visitor is the scalar single-source-of-truth);
-  // the operators and exporters handle it explicitly.
+  // axes labeled by backend_label / stats_abort_reason_label.  Sums to
+  // `aborts`; its reason columns are the aborts_<reason>() totals below.
   std::uint64_t aborts_by_backend[kStatsBackends][kStatsAbortReasons] = {};
+
+  // Aborts for one reason over every backend (a matrix column): conflict
+  // (validation/acquisition), capacity (HTM overflow), syscall (fence in
+  // hardware), explicit (retry_txn), retry_wait (self-aborts).
+  [[nodiscard]] std::uint64_t aborts_for(std::size_t reason) const noexcept {
+    std::uint64_t n = 0;
+    for (const auto& row : aborts_by_backend) n += row[reason];
+    return n;
+  }
+  std::uint64_t aborts_conflict() const noexcept { return aborts_for(0); }
+  std::uint64_t aborts_capacity() const noexcept { return aborts_for(1); }
+  std::uint64_t aborts_syscall() const noexcept { return aborts_for(2); }
+  std::uint64_t aborts_explicit() const noexcept { return aborts_for(3); }
+  std::uint64_t aborts_retry_wait() const noexcept { return aborts_for(4); }
 
   // Read-set dedup hit rate over all logged-or-coalesced reads (0 when no
   // instrumented reads ran).
@@ -87,8 +97,10 @@ struct Stats {
                  : 0.0;
   }
 
-  // Visit every counter as (name, member pointer): single source of truth
-  // for the arithmetic below and the metrics exporters (src/obs).
+  // Visit every counter as (name, member pointer), the matrix included:
+  // single source of truth for counters.h and the exporters (src/obs).
+  // Visit order is export order: the matrix comes where its aborts_<reason>
+  // columns are exported, though it is declared last.
   template <typename Fn>
   static constexpr void for_each_field(Fn&& fn) {
     fn("reads", &Stats::reads);
@@ -103,11 +115,7 @@ struct Stats {
     fn("serial_fallbacks", &Stats::serial_fallbacks);
     fn("htm_chaos_aborts", &Stats::htm_chaos_aborts);
     fn("handlers_run", &Stats::handlers_run);
-    fn("aborts_conflict", &Stats::aborts_conflict);
-    fn("aborts_capacity", &Stats::aborts_capacity);
-    fn("aborts_syscall", &Stats::aborts_syscall);
-    fn("aborts_explicit", &Stats::aborts_explicit);
-    fn("aborts_retry_wait", &Stats::aborts_retry_wait);
+    fn("aborts_by_backend", &Stats::aborts_by_backend);
     fn("clock_cas_reuses", &Stats::clock_cas_reuses);
     fn("cm_waits", &Stats::cm_waits);
     fn("cm_backoffs", &Stats::cm_backoffs);
@@ -123,18 +131,36 @@ struct Stats {
     fn("backend_switches", &Stats::backend_switches);
   }
 
-  Stats& operator+=(const Stats& o) noexcept;
-  Stats& operator-=(const Stats& o) noexcept;  // delta vs earlier snapshot
+  // Every exported scalar as fn(name, value), in visitor order: the scalar
+  // fields, and in the matrix's place its reason columns as
+  // aborts_<reason>.  The exporters and to_string() print through it.
+  template <typename Fn>
+  void for_each_scalar(Fn&& fn) const {
+    for_each_field([&](const char* name, auto field) {
+      if constexpr (std::is_array_v<
+                        std::remove_reference_t<decltype(this->*field)>>) {
+        for (std::size_t r = 0; r < kStatsAbortReasons; ++r)
+          fn(std::string("aborts_") + stats_abort_reason_label(r),
+             aborts_for(r));
+      } else {
+        fn(std::string(name), this->*field);
+      }
+    });
+  }
+
+  // "name=value" for every non-zero scalar.
   [[nodiscard]] std::string to_string() const;
 };
 
-// Fold all live descriptors' counters (plus retired threads') into one view.
-// Safe to call while threads run and exit: the registry serializes the
-// live->retired fold against this scan, so no thread is double-counted or
-// lost (live counters themselves are read with eventual consistency).
+// Fold all live descriptors' counters (plus retired threads') into one view,
+// minus the fold recorded by the last stats_reset().  Safe to call while
+// threads run and exit: the registry serializes the live->retired fold
+// against this scan, so no thread is double-counted or lost, and every field
+// is monotonic between resets (live counters are read with relaxed loads).
 [[nodiscard]] Stats stats_snapshot();
 
-// Zero every live descriptor's counters and the retired accumulator.
+// Record the current fold as the zero point of later snapshots.  Writes no
+// descriptor: each descriptor's counters keep exactly one writer.
 void stats_reset();
 
 }  // namespace tmcv::tm

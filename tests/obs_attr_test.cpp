@@ -197,23 +197,23 @@ TEST_F(ObsAttrTest, ConflictPairsSumToAbortsConflict) {
   tmcv::tm::atomically([&] { sum = hot.load(); });
   EXPECT_EQ(sum, static_cast<std::uint64_t>(kThreads) * kTxns);
 
-  const tmcv::tm::Stats st = tmcv::tm::stats_snapshot();
   const obs::AttributionSnapshot snap = obs::attribution_snapshot();
   EXPECT_EQ(snap.dropped, 0u);
 #if TMCV_TRACE
-  EXPECT_EQ(obs::attr_conflicts_total(snap), st.aborts_conflict);
+  const tmcv::tm::Stats st = tmcv::tm::stats_snapshot();
+  EXPECT_EQ(obs::attr_conflicts_total(snap), st.aborts_conflict());
   std::uint64_t by_reason[6] = {};
   for (const obs::AttrEntry& e : snap.abort_sites) {
     const std::uint16_t r = obs::attr_key_reason(e.key);
     ASSERT_LT(r, 6u);
     by_reason[r] += e.count;
   }
-  EXPECT_EQ(by_reason[obs::kAttrReasonConflict], st.aborts_conflict);
-  EXPECT_EQ(by_reason[obs::kAttrReasonCapacity], st.aborts_capacity);
-  EXPECT_EQ(by_reason[obs::kAttrReasonSyscall], st.aborts_syscall);
-  EXPECT_EQ(by_reason[obs::kAttrReasonExplicit], st.aborts_explicit);
-  EXPECT_EQ(by_reason[obs::kAttrReasonRetryWait], st.aborts_retry_wait);
-  if (st.aborts_conflict > 0) {
+  EXPECT_EQ(by_reason[obs::kAttrReasonConflict], st.aborts_conflict());
+  EXPECT_EQ(by_reason[obs::kAttrReasonCapacity], st.aborts_capacity());
+  EXPECT_EQ(by_reason[obs::kAttrReasonSyscall], st.aborts_syscall());
+  EXPECT_EQ(by_reason[obs::kAttrReasonExplicit], st.aborts_explicit());
+  EXPECT_EQ(by_reason[obs::kAttrReasonRetryWait], st.aborts_retry_wait());
+  if (st.aborts_conflict() > 0) {
     bool victim_labeled = false;
     for (const obs::AttrEntry& e : snap.conflict_pairs)
       if (std::string(obs::site_name(obs::attr_pair_victim(e.key))) ==

@@ -1,10 +1,13 @@
 // Metrics-registry tests: snapshot/delta, the JSON and Prometheus
-// exporters, the condvar aggregate (live + destroyed), and a regression
-// test for the thread-exit stats fold racing concurrent snapshots.
+// exporters, the condvar aggregate (live + destroyed), the counter-family
+// arithmetic (util/counters.h), a regression test for the thread-exit stats
+// fold racing concurrent snapshots, and stats_reset() as a baseline under
+// concurrent commits.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,12 +15,15 @@
 #include "core/condvar.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sync/wake_stats.h"
 #include "tm/api.h"
 #include "tm/var.h"
+#include "util/counters.h"
 
 namespace obs = tmcv::obs;
 using tmcv::CondVar;
 using tmcv::CondVarStats;
+namespace counters = tmcv::counters;
 
 namespace {
 
@@ -198,6 +204,134 @@ TEST_F(ObsMetricsTest, ThreadExitFoldDoesNotRaceSnapshots) {
   std::uint64_t sum = 0;
   tmcv::tm::atomically([&] { sum = x.load(); });
   EXPECT_EQ(sum, kTotal);
+}
+
+// ---- counter families ----
+
+template <typename T>
+class CounterFamily : public ::testing::Test {};
+using Families =
+    ::testing::Types<tmcv::tm::Stats, CondVarStats, tmcv::WakeStats>;
+TYPED_TEST_SUITE(CounterFamily, Families);
+
+template <typename T>
+void expect_cells_eq(const T& got, const T& want) {
+  T g = got;
+  std::size_t cell = 0;
+  counters::for_each_cell(g, want,
+                          [&](std::uint64_t& x, const std::uint64_t& y) {
+                            EXPECT_EQ(x, y) << "cell " << cell;
+                            ++cell;
+                          });
+}
+
+// Fill every cell with a distinct value through the visitor (array fields
+// cell by cell, so every tm::Stats matrix cell too), then round-trip the
+// family through +=, -=, load and reset.
+TYPED_TEST(CounterFamily, EveryFieldRoundTrips) {
+  using T = TypeParam;
+  T a;
+  std::uint64_t cells = 0;
+  counters::for_each_cell(a, a, [&](std::uint64_t& c, const std::uint64_t&) {
+    c = ++cells * 1000;
+  });
+  // The visitor covers the whole struct: as many cells as words, and none
+  // left zero (a skipped field) or visited twice (its first value lost).
+  ASSERT_EQ(cells * sizeof(std::uint64_t), sizeof(T));
+  std::uint64_t words[sizeof(T) / sizeof(std::uint64_t)];
+  std::memcpy(words, &a, sizeof(T));
+  std::uint64_t sum = 0;
+  for (const std::uint64_t w : words) {
+    EXPECT_NE(w, 0u);
+    sum += w;
+  }
+  EXPECT_EQ(sum, 1000 * cells * (cells + 1) / 2);
+
+  T twice;
+  counters::for_each_cell(twice, a,
+                          [](std::uint64_t& x, const std::uint64_t& y) {
+                            x = 2 * y;
+                          });
+  T b = a;
+  b += a;
+  expect_cells_eq(b, twice);
+  b -= a;
+  expect_cells_eq(b, a);
+  expect_cells_eq(counters::load(b), a);
+  T under = a;
+  under -= twice;  // a delta never wraps: clamped at 0 per cell
+  expect_cells_eq(under, T{});
+  counters::reset(b);
+  expect_cells_eq(b, T{});
+}
+
+TEST(TmStats, ReasonTotalsAreMatrixColumnSums) {
+  tmcv::tm::Stats s;
+  for (std::size_t b = 0; b < tmcv::tm::kStatsBackends; ++b)
+    for (std::size_t r = 0; r < tmcv::tm::kStatsAbortReasons; ++r)
+      s.aborts_by_backend[b][r] = (b + 1) * 10 + r;
+  const auto column = [](std::uint64_t r) { return 100 + 4 * r; };
+  EXPECT_EQ(s.aborts_conflict(), column(0));
+  EXPECT_EQ(s.aborts_capacity(), column(1));
+  EXPECT_EQ(s.aborts_syscall(), column(2));
+  EXPECT_EQ(s.aborts_explicit(), column(3));
+  EXPECT_EQ(s.aborts_retry_wait(), column(4));
+}
+
+// stats_reset() records a baseline rather than writing other threads'
+// descriptors.  Four threads commit (on one hot word, so some abort) while a
+// fifth loops stats_snapshot() and stats_reset(): between two resets no
+// field of a snapshot may go backwards.  After a quiescent reset, M commits
+// read exactly M.
+TEST_F(ObsMetricsTest, ResetIsABaselineUnderConcurrentCommits) {
+  constexpr int kThreads = 4;
+  constexpr int kTxnsPerThread = 2000;
+  tmcv::tm::var<std::uint64_t> hot(0);
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> backwards{0};
+  std::atomic<std::uint64_t> snapshots{0};
+
+  std::thread observer([&] {
+    tmcv::tm::Stats prev = tmcv::tm::stats_snapshot();
+    for (unsigned i = 1; !stop.load(std::memory_order_acquire); ++i) {
+      if (i % 8 == 0) {
+        tmcv::tm::stats_reset();
+        prev = tmcv::tm::stats_snapshot();
+        continue;
+      }
+      tmcv::tm::Stats cur = tmcv::tm::stats_snapshot();
+      counters::for_each_cell(
+          cur, prev, [&](std::uint64_t& now, const std::uint64_t& was) {
+            if (now < was) backwards.fetch_add(1);
+          });
+      prev = cur;
+      snapshots.fetch_add(1);
+    }
+  });
+
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([&] {
+      for (int i = 0; i < kTxnsPerThread; ++i)
+        tmcv::tm::atomically([&] { hot.store(hot.load() + 1); });
+    });
+  for (auto& w : workers) w.join();
+  stop.store(true, std::memory_order_release);
+  observer.join();
+
+  EXPECT_EQ(backwards.load(), 0u) << "a snapshot went backwards";
+  EXPECT_GT(snapshots.load(), 0u);
+  std::uint64_t total = 0;
+  tmcv::tm::atomically([&] { total = hot.load(); });
+  EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * kTxnsPerThread);
+
+  constexpr std::uint64_t kM = 100;
+  tmcv::tm::stats_reset();
+  EXPECT_EQ(tmcv::tm::stats_snapshot().commits, 0u);
+  tmcv::tm::var<std::uint64_t> x(0);
+  for (std::uint64_t i = 0; i < kM; ++i)
+    tmcv::tm::atomically([&] { x.store(x.load() + 1); });
+  EXPECT_EQ(tmcv::tm::stats_snapshot().commits, kM);
 }
 
 }  // namespace

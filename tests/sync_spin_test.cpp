@@ -139,23 +139,6 @@ TEST(CountingSemaphore, SpinPathPreservesCount) {
   EXPECT_EQ(sem.value(), 0u);
 }
 
-TEST(WakeStats, SnapshotAndResetCoverEveryField) {
-  // for_each_field, +=, -= and the snapshot/reset pair stay in sync.
-  WakeStats a;
-  std::size_t fields = 0;
-  WakeStats::for_each_field([&](const char* name, std::uint64_t WakeStats::*f) {
-    EXPECT_NE(name, nullptr);
-    a.*f = ++fields;  // distinct values
-  });
-  EXPECT_EQ(fields, 6u);
-  WakeStats b = a;
-  b += a;
-  b -= a;
-  WakeStats::for_each_field([&](const char*, std::uint64_t WakeStats::*f) {
-    EXPECT_EQ(b.*f, a.*f);
-  });
-}
-
 // ---- 1-core default (the PR-4 pingpong-regression mitigation) ----
 
 TEST(SpinBudget, DefaultIsZeroOnOneCpu) {

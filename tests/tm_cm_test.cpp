@@ -84,11 +84,11 @@ TEST(TmCm, ForcedConflictNoLivelockAndReasonsSum) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(x.load(), static_cast<std::uint64_t>(kThreads) * kIncrements);
   const Stats s = stats_snapshot();
-  EXPECT_EQ(s.aborts, s.aborts_conflict + s.aborts_capacity +
-                          s.aborts_syscall + s.aborts_explicit +
-                          s.aborts_retry_wait);
-  EXPECT_EQ(s.aborts_capacity, 0u);
-  EXPECT_EQ(s.aborts_syscall, 0u);
+  EXPECT_EQ(s.aborts, s.aborts_conflict() + s.aborts_capacity() +
+                          s.aborts_syscall() + s.aborts_explicit() +
+                          s.aborts_retry_wait());
+  EXPECT_EQ(s.aborts_capacity(), 0u);
+  EXPECT_EQ(s.aborts_syscall(), 0u);
 }
 
 TEST(TmCm, SerialEscalationAfterKConflictsAndRecovery) {
@@ -127,7 +127,7 @@ TEST(TmCm, SerialEscalationAfterKConflictsAndRecovery) {
   victim.join();
   EXPECT_EQ(x.load(), 10u);
   const Stats s = stats_snapshot();
-  EXPECT_GE(s.aborts_conflict, 4u);
+  EXPECT_GE(s.aborts_conflict(), 4u);
   EXPECT_EQ(s.cm_serial_escalations, 1u);
   EXPECT_EQ(s.serial_fallbacks, 1u);  // recovery ran optimistically
 }
@@ -177,7 +177,7 @@ TEST(TmCm, ExplicitAbortsDoNotFeedTheConflictStreak) {
   });
   EXPECT_EQ(x.load(), 10);
   const Stats s = stats_snapshot();
-  EXPECT_EQ(s.aborts_explicit, 10u);
+  EXPECT_EQ(s.aborts_explicit(), 10u);
   EXPECT_EQ(s.serial_fallbacks, 0u);
   EXPECT_EQ(s.cm_serial_escalations, 0u);
 }

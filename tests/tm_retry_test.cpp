@@ -96,6 +96,30 @@ TEST_P(TmRetry, RetryingReaderSeesConsistentSnapshots) {
   EXPECT_EQ(torn.load(), 0);
 }
 
+// The retry loop cannot know a closure will wait, so it may escalate one
+// to the serial lock before its first retry_wait.  Until that serial
+// section writes, retry_wait gives the lock back and waits like an
+// optimistic transaction instead of tripping the irrevocability assert.
+TEST_P(TmRetry, EscalatedClosureWaitsBeforeItsFirstWrite) {
+  var<bool> flag(false);
+  var<int> seen(0);
+  std::atomic<bool> escalated{false};
+  std::thread waiter([&] {
+    atomically(GetParam(), [&] {
+      if (descriptor().state() == TxState::Serial)
+        escalated.store(true);
+      else if (!escalated.load())
+        retry_txn();  // spend the attempt budget until the loop escalates
+      if (!flag.load()) retry_wait();
+      seen.store(seen.load() + 1);
+    });
+  });
+  while (!escalated.load()) std::this_thread::yield();
+  atomically([&] { flag.store(true); });
+  waiter.join();
+  EXPECT_EQ(seen.load(), 1);
+}
+
 TEST(TmRetryGuards, RetryWaitOutsideTransactionAsserts) {
   // Death tests are slow; verify the precondition indirectly: retry_wait
   // requires an optimistic transaction, and in_txn() is false here.
