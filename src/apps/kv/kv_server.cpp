@@ -361,15 +361,17 @@ void KvServer::stop() {
     ::close(lfd);
   }
   if (im.accept_thread.joinable()) im.accept_thread.join();
+  // Poller first: wake it; it observes !running, closes its idle set, exits.
+  // Until it has exited it may still dispatch a readable connection, so the
+  // workers must outlive it to take that task.
+  im.wake_poller();
+  if (im.poller_thread.joinable()) im.poller_thread.join();
   // Workers: drain queued dispatches (each closes its connection because
   // running is false), then take() returns false.
   im.queue->stop();
   for (auto& t : im.worker_threads)
     if (t.joinable()) t.join();
   im.worker_threads.clear();
-  // Poller: wake it; it observes !running, closes its idle set, exits.
-  im.wake_poller();
-  if (im.poller_thread.joinable()) im.poller_thread.join();
   // Connections parked in the inbox (re-armed in the shutdown window).
   {
     std::lock_guard<std::mutex> lock(im.inbox_mu);

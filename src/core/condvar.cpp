@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "obs/attribution.h"
+#include "obs/hooks.h"
+#include "sync/waitpoint.h"
 
 namespace tmcv {
 
@@ -34,56 +36,39 @@ CvRegistry& cv_registry() {
   return r;
 }
 
+// Timestamp for the enqueue->wake latency region and a notify's grant
+// instant; 0 when observability is compiled out or disabled at runtime.
+std::uint64_t trace_ticks() noexcept {
 #if TMCV_TRACE
-// Stamp the victim inside the queue transaction, right before its deferred
-// wake: a stamp from an aborted transaction is harmless (the node's next
-// wait clears it; a re-executed notify overwrites it).
-inline void stamp_victim(detail::WaitNode* victim) noexcept {
-  obs::stamp_notify(victim->notify_ticks);
-}
+  return obs::region_begin();
 #else
-inline void stamp_victim(detail::WaitNode*) noexcept {}
+  return 0;
 #endif
+}
 
-// Scratch for the multi-victim notifies: victims are collected inside the
-// queue transaction (cleared at the top of the closure, so re-execution is
-// safe) and dispatched after it.  Reused across calls -- no allocation in
-// steady state.
+// Site label for the wait's registry publish: whatever transaction label
+// was in flight when the caller blocked (the enqueue hint, or the user's
+// own TMCV_TXN_SITE on an ambient transaction).  0 with TMCV_TRACE=OFF.
+std::uint16_t wait_site() noexcept { return tm::descriptor().txn_site(); }
+
+// Victims of the notify in flight: collected inside the queue transaction
+// (cleared at the top of the closure, so re-execution is safe).  Reused
+// across calls -- no allocation in steady state.
 thread_local std::vector<detail::WaitNode*> t_victims;
-thread_local std::vector<BinarySemaphore*> t_victim_sems;
 
-// Wake the collected victims by the cheapest route that fits the caller's
-// context:
-//
-//   * Ambient transaction: every post joins the descriptor's wake batch, so
-//     an abort discards them (§3.2) -- unchanged from the pre-morph design.
-//   * Lock scope + morphing on + a herd (>1 victim): post the first victim
-//     and park the rest on the lock's relay chain.  The first victim's
-//     morph key is set BEFORE its post and the rest are requeued BEFORE the
-//     post too: once the first waiter runs it must find the chain fully
-//     formed, or a late requeue could strand a waiter (lost wakeup).
-//   * Otherwise: one coalesced post_batch (publish all tokens, then wake).
-void dispatch_wakes(std::vector<detail::WaitNode*>& victims) {
-  if (victims.empty()) return;
-  if (tm::in_txn()) {
-    for (detail::WaitNode* v : victims) tm::defer_wake(&v->sem);
-    return;
-  }
-  const void* scope = current_lock_scope();
-  if (scope != nullptr && victims.size() > 1 && wait_morphing()) {
-    detail::WaitNode* first = victims[0];
-    // The directly-woken waiter starts the relay, so it carries the key
-    // too; without it the second victim would never be posted.
-    first->morph.key.store(scope, std::memory_order_relaxed);
-    for (std::size_t i = 1; i < victims.size(); ++i)
-      morph_requeue(scope, &victims[i]->morph);
-    first->sem.post();
-    return;
-  }
-  t_victim_sems.clear();
-  t_victim_sems.reserve(victims.size());
-  for (detail::WaitNode* v : victims) t_victim_sems.push_back(&v->sem);
-  BinarySemaphore::post_batch(t_victim_sems.data(), t_victim_sems.size());
+// Wait morphing for a naked herd notify under a lock scope: post the first
+// victim and park the rest on the lock's relay chain.  The first victim's
+// morph key is set BEFORE its post and the rest are requeued BEFORE the
+// post too: once the first waiter runs it must find the chain fully
+// formed, or a late requeue could strand a waiter (lost wakeup).
+void hand_off_herd(const void* lock,
+                   const std::vector<detail::WaitNode*>& victims) {
+  // The directly-woken waiter starts the relay, so it carries the key too;
+  // without it the second victim would never be posted.
+  victims[0]->morph.key.store(lock, std::memory_order_relaxed);
+  for (std::size_t i = 1; i < victims.size(); ++i)
+    morph_requeue(lock, &victims[i]->morph);
+  victims[0]->sem.post();
 }
 
 }  // namespace
@@ -124,35 +109,40 @@ bool condvar_probe(const void* cv, CondVarStats& stats,
   return false;
 }
 
-CondVar::CommitSleep& CondVar::commit_sleep_stash() noexcept {
-  thread_local CommitSleep cs;
-  return cs;
-}
+// ---- WAIT ----
 
-void CondVar::commit_sleep_thunk(void* ctx) noexcept {
-  CommitSleep& cs = *static_cast<CommitSleep*>(ctx);
-  {
-    // The registering transaction has committed by the time the handler
-    // runs, so publishing the park is safe (no syscall-in-txn hazard) and
-    // its site label is still the committed transaction's.
-    WaitScope wp(WaitReason::kCondVar, cs.cv, wait_site());
-    cs.node->sem.wait();
+detail::WaitNode& CondVar::enqueue(std::uint64_t tag) {
+  detail::WaitNode& node = detail::my_wait_node();
+  TMCV_ASSERT_MSG(!node.enqueued, "thread is already waiting on a condvar");
+  node.enqueued = true;
+  node.cv = this;
+  node.t0 = trace_ticks();
+#if TMCV_TRACE
+  node.notify_ticks.store(0, std::memory_order_relaxed);
+#endif
+  // Inside an ambient transaction, the enqueue (or the early commit that
+  // follows it) can abort and re-run the whole closure including this
+  // call; the rollback must clear the owner flag along with the queue
+  // state.  The node pointer is the whole context, so no allocation.
+  if (tm::in_txn()) {
+    tm::on_abort_fn(
+        [](void* ctx) {
+          static_cast<detail::WaitNode*>(ctx)->enqueued = false;
+        },
+        &node);
   }
-  cs.cv->finish_wait(*cs.node, cs.t0);
-  // wait_at_commit never re-acquires a lock, so relay immediately (same
-  // contract as wait_final).
-  morph_consume(cs.node->morph);
-}
-
-void CondVar::clear_enqueued_thunk(void* ctx) noexcept {
-  static_cast<detail::WaitNode*>(ctx)->enqueued = false;
-}
-
-void CondVar::enqueue_self(detail::WaitNode& node) {
+  // Line 1 of WAIT: unsynchronized by design -- the node is privatized
+  // (unreachable from any queue) until the enqueue transaction commits.
+  node.next.store_plain(nullptr);
+  node.tag.store_plain(tag);
+  node.morph.sem = &node.sem;
+  // Let morph_requeue mirror relay-chain membership into this thread's
+  // wait slot (cleared by the WaitScope around the park on wake).
+  node.morph.wslot = my_wait_slot();
   tm::atomically([&] {
     // Attribution hint, not label: an ambient user transaction keeps its
     // own TMCV_TXN_SITE name; only standalone queue transactions show up
-    // as cv.* sites.  Same for the notify paths below.
+    // as cv.* sites.  Same for the notify and cancel paths below.
     TMCV_TXN_SITE_HINT("cv.wait.enqueue");
     // The closure may re-execute after an abort; re-assert line 1's state
     // (plain store is fine: the node is still private).
@@ -161,13 +151,52 @@ void CondVar::enqueue_self(detail::WaitNode& node) {
     if (tail == nullptr) {
       TMCV_DEBUG_ASSERT(head_.load() == nullptr);
       head_.store(&node);
-      tail_.store(&node);
     } else {
       tail->next.store(&node);
-      tail_.store(&node);
     }
+    tail_.store(&node);
     size_.store(size_.load() + 1);
   });
+  return node;
+}
+
+detail::WaitNode& CondVar::enqueue_and_release(SyncContext& sync,
+                                               std::uint64_t tag) {
+  detail::WaitNode& node = enqueue(tag);
+  sync.end_block();     // line 9: break atomicity
+  tm::syscall_fence();  // sleeping would abort a hardware txn
+  return node;
+}
+
+bool CondVar::park(detail::WaitNode& node, std::uint64_t timeout_ns) {
+  bool notified = true;
+  {
+    // Publish "parked on this condvar" (with the wait's txn-site label)
+    // into the wait-point registry for the duration of the sleep only, so
+    // the try_remove_self transaction below is never misreported as
+    // "parked".  Under wait_at_commit the transaction has committed by
+    // now, so the publish is safe and the label is still the committed
+    // transaction's.
+    WaitScope wp(WaitReason::kCondVar, this, wait_site());
+    if (timeout_ns == kNoTimeout)
+      node.sem.wait();  // line 10: block until notified
+    else
+      notified = node.sem.wait_for(timeout_ns);
+  }
+  // A notifier dequeued us concurrently with the timeout: the post is
+  // committed or imminent; absorb it so the semaphore stays balanced.
+  if (!notified && !try_remove_self(node)) return park(node);
+  node.enqueued = false;
+  if (!notified) {
+    counters::add(stats_.timeouts);
+    return false;
+  }
+  counters::add(stats_.waits);
+#if TMCV_TRACE
+  obs::region_end(obs::Event::kCvWait, node.t0, &obs::hist_cv_wait());
+  obs::consume_notify_stamp(node.notify_ticks);
+#endif
+  return true;
 }
 
 void CondVar::unlink(detail::WaitNode* prev, detail::WaitNode* node) {
@@ -199,130 +228,116 @@ bool CondVar::try_remove_self(detail::WaitNode& node) {
   return removed;
 }
 
+// ---- NOTIFY ----
+
 bool CondVar::notify_one() {
-  const std::uint64_t notify_t0 = notify_begin_ticks();
-  bool notified = false;
-  tm::atomically([&] {
-    TMCV_TXN_SITE_HINT("cv.notify");
-    notified = false;
-    detail::WaitNode* sn = head_.load();
-    if (sn == nullptr) return;  // empty queue: the notify is lost, by spec
-    detail::WaitNode* victim = sn;
-    detail::WaitNode* prev = nullptr;
-    if (policy_ == WakePolicy::LIFO) {
-      // Wake the most recent waiter: walk to the tail.  Queues are short
-      // (bounded by thread count), so the walk is cheap; keeping the list
-      // singly linked preserves Algorithm 3's structure.
-      while (detail::WaitNode* nx = victim->next.load()) {
-        prev = victim;
-        victim = nx;
-      }
-    }
-    unlink(prev, victim);
-    // Line 9: wake the thread when the outermost transaction commits.  The
-    // wake batch replaces the per-victim onCommit closure: zero handler
-    // allocations, and an abort discards the batch so no wake-up escapes
-    // (§3.2).
-    stamp_victim(victim);
-    tm::defer_wake(&victim->sem);
-    notified = true;
-  });
-  count_notify(stats_.notify_one_calls, notified ? 1 : 0, notify_t0);
-  return notified;
+  auto select = [this](Victims& out) { cut(out, 1, policy_); };
+  return select_and_wake(stats_.notify_one_calls, selector(select)) != 0;
 }
 
 std::size_t CondVar::notify_all() {
-  const std::uint64_t notify_t0 = notify_begin_ticks();
-  std::vector<detail::WaitNode*>& victims = t_victims;
-  tm::atomically([&] {
-    TMCV_TXN_SITE_HINT("cv.notify");
-    victims.clear();  // the closure may re-execute
-    detail::WaitNode* sn = head_.load();
-    if (sn == nullptr) return;
-    head_.store(nullptr);
-    tail_.store(nullptr);
-    size_.store(0);
-    // Accesses to next fields stay inside the transaction (§3.3): the nodes
-    // are reachable only because their owners' enqueue transactions
-    // committed and no intervening notify removed them, so no owner can be
-    // at WAIT line 1 and no race with its plain store is possible.  Victims
-    // are collected here and dispatched after the transaction, where the
-    // caller's context (ambient txn / lock scope / naked) picks the route.
-    while (sn != nullptr) {
-      detail::WaitNode* node = sn;
-      sn = sn->next.load();
-      stamp_victim(node);
-      victims.push_back(node);
-    }
-  });
-  dispatch_wakes(victims);
-  const std::size_t count = victims.size();
-  count_notify(stats_.notify_all_calls, count, notify_t0);
-  return count;
+  // Everyone goes, oldest first, whatever the policy.
+  auto select = [this](Victims& out) { cut(out, SIZE_MAX, WakePolicy::FIFO); };
+  return select_and_wake(stats_.notify_all_calls, selector(select));
 }
 
 std::size_t CondVar::notify_n(std::size_t n) {
-  const std::uint64_t notify_t0 = notify_begin_ticks();
-  std::vector<detail::WaitNode*>& victims = t_victims;
+  auto select = [this, n](Victims& out) { cut(out, n, policy_); };
+  return select_and_wake(stats_.notify_all_calls, selector(select));
+}
+
+std::size_t CondVar::select_and_wake(std::uint64_t& calls, Selector select) {
+  // The grant instant, captured BEFORE the queue transaction (see
+  // count_notify for why the ordering matters).
+  const std::uint64_t t0 = trace_ticks();
+  // The one exception to the wake batch, decided up front: a naked notify
+  // under a declared lock scope hands a herd to that lock's relay chain
+  // after commit (sync/wait_morph.h).  Inside an ambient transaction every
+  // post must stay discardable by its abort (§3.2).
+  const void* herd_lock = current_lock_scope();
+  if (herd_lock != nullptr && (tm::in_txn() || !wait_morphing()))
+    herd_lock = nullptr;
+  Victims& victims = t_victims;
   tm::atomically([&] {
     TMCV_TXN_SITE_HINT("cv.notify");
     victims.clear();  // the closure may re-execute
-    if (n == 0) return;
-    if (policy_ == WakePolicy::FIFO) {
-      // FIFO victims are head pops: O(1) each.
-      while (victims.size() < n) {
-        detail::WaitNode* victim = head_.load();
-        if (victim == nullptr) break;
-        unlink(nullptr, victim);
-        stamp_victim(victim);
-        victims.push_back(victim);
-      }
-      return;
+    select.call(select.fn, victims);
+    const bool hand_off = herd_lock != nullptr && victims.size() > 1;
+    for (detail::WaitNode* victim : victims) {
+      // Stamp inside the transaction, right before the wake: a stamp from
+      // an aborted attempt is harmless (the node's next wait clears it; a
+      // re-executed notify overwrites it).
+#if TMCV_TRACE
+      obs::stamp_notify(victim->notify_ticks);
+#endif
+      // Line 9 of NOTIFY: wake the thread when the outermost transaction
+      // commits.  The TM wake batch posts every victim with one
+      // post_batch, allocates nothing, and is discarded on abort, so no
+      // wake-up escapes (§3.2).
+      if (!hand_off) tm::defer_wake(&victim->sem);
     }
-    // LIFO: the victims are the last n nodes, i.e. a suffix of the list.
-    // One traversal with a ring of the trailing n+1 pointers finds both the
-    // suffix and its predecessor (the new tail), instead of restarting the
-    // walk from head per victim (which was O(n^2)).  The ring grows to at
-    // most min(n+1, waiters) entries and is reused across calls.
-    thread_local std::vector<detail::WaitNode*> ring;
-    ring.clear();
-    const std::size_t cap = n + 1 == 0 ? n : n + 1;  // saturate, no wrap
-    std::size_t len = 0;
-    for (detail::WaitNode* cur = head_.load(); cur != nullptr;
-         cur = cur->next.load()) {
-      if (ring.size() < cap)
-        ring.push_back(cur);
-      else
-        ring[len % cap] = cur;
-      ++len;
-    }
-    if (len == 0) return;
-    if (len <= n) {
-      // Everyone goes: drain the whole queue, most recent first.
-      for (std::size_t p = len; p > 0; --p) {
-        stamp_victim(ring[p - 1]);
-        victims.push_back(ring[p - 1]);
-      }
-      head_.store(nullptr);
-      tail_.store(nullptr);
-      size_.store(0);
-      return;
-    }
-    // The ring holds positions len-n-1 .. len-1: the new tail followed by
-    // the n victims.  Cut the suffix and wake it, most recent first.
-    detail::WaitNode* boundary = ring[(len - n - 1) % cap];
-    for (std::size_t p = len; p > len - n; --p) {
-      stamp_victim(ring[(p - 1) % cap]);
-      victims.push_back(ring[(p - 1) % cap]);
-    }
-    boundary->next.store(nullptr);
-    tail_.store(boundary);
-    size_.store(len - n);
   });
-  dispatch_wakes(victims);
-  const std::size_t count = victims.size();
-  count_notify(stats_.notify_all_calls, count, notify_t0);
-  return count;
+  if (herd_lock != nullptr && victims.size() > 1)
+    hand_off_herd(herd_lock, victims);
+  count_notify(calls, victims.size(), t0);
+  return victims.size();
+}
+
+void CondVar::cut(Victims& out, std::size_t n, WakePolicy order) {
+  // Accesses to next fields stay inside the transaction (§3.3): the nodes
+  // are reachable only because their owners' enqueue transactions
+  // committed and no intervening notify removed them, so no owner can be
+  // at WAIT line 1 and no race with its plain store is possible.
+  const std::size_t size = size_.load();
+  const std::size_t k = std::min(n, size);
+  if (k == 0) return;  // empty queue: the notify is lost, by spec
+  // Under LIFO the victims are the last k nodes: walk to the survivor
+  // before them (index size - k - 1).  Queues are short (bounded by thread
+  // count), and keeping the list singly linked preserves Algorithm 3.
+  detail::WaitNode* keep = nullptr;
+  detail::WaitNode* cur = head_.load();
+  if (order == WakePolicy::LIFO) {
+    for (std::size_t i = k; i < size; ++i) {
+      keep = cur;
+      cur = cur->next.load();
+    }
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    out.push_back(cur);
+    cur = cur->next.load();
+  }
+  if (keep == nullptr)
+    head_.store(cur);
+  else
+    keep->next.store(cur);
+  if (cur == nullptr) tail_.store(keep);
+  size_.store(size - k);
+  if (order == WakePolicy::LIFO) std::reverse(out.begin(), out.end());
+}
+
+// `t0` is the notify's grant instant, captured BEFORE the queue
+// transaction: the trace record must precede every wake it causes, or the
+// offline causal check (tools/trace_report.py --causal) would see wakes
+// without tokens whenever a victim stamps its wait-end before the notifier
+// regains the CPU.
+void CondVar::count_notify(std::uint64_t& calls, std::size_t woken,
+                           std::uint64_t t0) noexcept {
+  counters::add(calls);
+  // Remember who notifies this condvar (by txn-site label) so the
+  // wait-for graph can point a parked waiter at its expected notifier.
+  last_notify_site_.store(tm::descriptor().txn_site(),
+                          std::memory_order_relaxed);
+  if (woken == 0)
+    counters::add(stats_.lost_notifies);
+  else
+    counters::add(stats_.threads_woken, woken);
+#if TMCV_TRACE
+  obs::emit_instant_at(obs::Event::kCvNotify, t0,
+                       static_cast<std::uint16_t>(
+                           woken > 0xffff ? 0xffff : woken));
+#else
+  (void)t0;
+#endif
 }
 
 std::size_t CondVar::waiter_count() const {

@@ -6,7 +6,7 @@
 // transactions, and unsynchronized code without racing (§3.2).  Semaphore
 // operations never execute inside an active transaction: WAIT ends the
 // caller's synchronization block before sleeping, and NOTIFY defers its
-// posts to on-commit handlers.
+// posts until the outermost enclosing transaction commits.
 //
 // Guarantees (§3.4):
 //   * No spurious wake-ups: a WAIT returns only after a matching NOTIFY
@@ -21,12 +21,11 @@
 #include <chrono>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
-#include "obs/hooks.h"
 #include "sync/semaphore.h"
 #include "sync/sync_context.h"
 #include "sync/wait_morph.h"
-#include "sync/waitpoint.h"
 #include "tm/api.h"
 #include "tm/txn_sync.h"
 #include "tm/var.h"
@@ -86,6 +85,8 @@ struct CondVarStats : counters::Family<CondVarStats> {
 [[nodiscard]] bool condvar_probe(const void* cv, CondVarStats& stats,
                                  std::uint16_t& last_notify_site);
 
+class CondVar;
+
 namespace detail {
 
 // One queue node per thread (Algorithm 3).  A thread waits on at most one
@@ -97,6 +98,10 @@ struct WaitNode {
   tm::var<WaitNode*> next{nullptr};
   tm::var<std::uint64_t> tag{0};  // notify_best discriminator
   bool enqueued = false;          // owner-only sanity flag
+  // Owner-only: the condvar this wait is queued on, and the enqueue instant
+  // for the wait latency region (0 when observability is off).
+  CondVar* cv = nullptr;
+  std::uint64_t t0 = 0;
   // Notify->wake latency stamp: written by the notifier when it selects
   // this node, consumed by the owner after the semaphore wait.  A stamp
   // from an aborted selection is overwritten or cleared at the next wait.
@@ -104,7 +109,7 @@ struct WaitNode {
   // Wait-morphing membership (see sync/wait_morph.h): a notifier running
   // under a lock scope defers this waiter onto the lock's relay chain via
   // this node instead of posting sem directly.  morph.sem always points at
-  // `sem` above (set in prepare_node).
+  // `sem` above (set at enqueue).
   MorphWaiter morph;
 };
 
@@ -127,6 +132,9 @@ class CondVar {
     unregister_self();  // folds this object's counters into the aggregate
   }
 
+  // Every wait flavour below is enqueue_and_release + park + its own tail,
+  // except wait_at_commit, which enqueues and parks once its txn commits.
+
   // ---- WAIT, continuation-passing style (Algorithm 4) ----
   //
   // Must be the last shared-state action of the enclosing synchronized
@@ -135,18 +143,8 @@ class CondVar {
   // loop, or the re-acquired locks).  `tag` is visible to notify_best.
   template <typename Cont>
   void wait(SyncContext& sync, Cont&& cont, std::uint64_t tag = 0) {
-    detail::WaitNode& node = prepare_node(tag);
-    const std::uint64_t t0 = wait_begin_ticks();
-    enqueue_self(node);
-    sync.end_block();            // line 9: break atomicity
-    tm::syscall_fence();         // sleeping would abort a hardware txn
-    {
-      // Publish "parked on this condvar" (with the wait's txn-site label)
-      // into the wait-point registry for the duration of the sleep.
-      WaitScope wp(WaitReason::kCondVar, this, wait_site());
-      node.sem.wait();           // line 10: block until notified
-    }
-    finish_wait(node, t0);
+    detail::WaitNode& node = enqueue_and_release(sync, tag);
+    park(node);
     run_continuation(sync, node, std::forward<Cont>(cont));
   }
 
@@ -157,16 +155,8 @@ class CondVar {
   // transactional context the continuation runs irrevocably (§4.3), since a
   // conflict-abort after WAIT must not re-run the first half.
   void wait(SyncContext& sync, std::uint64_t tag = 0) {
-    detail::WaitNode& node = prepare_node(tag);
-    const std::uint64_t t0 = wait_begin_ticks();
-    enqueue_self(node);
-    sync.end_block();
-    tm::syscall_fence();
-    {
-      WaitScope wp(WaitReason::kCondVar, this, wait_site());
-      node.sem.wait();
-    }
-    finish_wait(node, t0);
+    detail::WaitNode& node = enqueue_and_release(sync, tag);
+    park(node);
     reacquire_and_relay(sync, node);  // line 11: re-lock / begin cont. txn
   }
 
@@ -187,32 +177,9 @@ class CondVar {
     const auto ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(timeout)
             .count());
-    detail::WaitNode& node = prepare_node(tag);
-    const std::uint64_t t0 = wait_begin_ticks();
-    enqueue_self(node);
-    sync.end_block();
-    tm::syscall_fence();
+    detail::WaitNode& node = enqueue_and_release(sync, tag);
     counters::add(stats_.timed_waits);
-    bool notified;
-    {
-      // Scoped tightly around the sleep so the try_remove_self transaction
-      // below is never misreported as "parked" in the wait-point registry.
-      WaitScope wp(WaitReason::kCondVar, this, wait_site());
-      notified = node.sem.wait_for(ns);
-    }
-    if (!notified && !try_remove_self(node)) {
-      // A notifier dequeued us concurrently with the timeout: the post is
-      // committed or imminent; absorb it so the semaphore stays balanced.
-      WaitScope wp(WaitReason::kCondVar, this, wait_site());
-      node.sem.wait();
-      notified = true;
-    }
-    if (notified) {
-      finish_wait(node, t0);
-    } else {
-      node.enqueued = false;
-      counters::add(stats_.timeouts);
-    }
+    const bool notified = park(node, ns);
     // On the timeout path the morph key is never set, so the relay in here
     // is a single relaxed exchange.
     reacquire_and_relay(sync, node);
@@ -224,16 +191,8 @@ class CondVar {
   // Elides the continuation entirely: no re-acquire, no second transaction.
   // The caller must not touch shared state after the call.
   void wait_final(SyncContext& sync, std::uint64_t tag = 0) {
-    detail::WaitNode& node = prepare_node(tag);
-    const std::uint64_t t0 = wait_begin_ticks();
-    enqueue_self(node);
-    sync.end_block();
-    tm::syscall_fence();
-    {
-      WaitScope wp(WaitReason::kCondVar, this, wait_site());
-      node.sem.wait();
-    }
-    finish_wait(node, t0);
+    detail::WaitNode& node = enqueue_and_release(sync, tag);
+    park(node);
     // No re-acquire by contract, so nothing to pace against: relay at once.
     morph_consume(node.morph);
     if (sync.is_transactional()) tm::descriptor().mark_split_done();
@@ -241,50 +200,50 @@ class CondVar {
 
   // ---- WAIT scheduled at commit (§4.3, second empty-continuation form) ----
   //
-  // For transactional callers only: enqueues now and registers the sleep as
+  // For transactional callers only: enqueues now and registers the park as
   // an on-commit handler, so control returns to the enclosing
   // ENDTRANSACTION, which commits and then blocks.  The enclosing
   // transaction must end immediately after this call.
   void wait_at_commit(std::uint64_t tag = 0) {
     TMCV_ASSERT_MSG(tm::in_txn(),
                     "wait_at_commit requires a transactional context");
-    detail::WaitNode& node = prepare_node(tag);
-    const std::uint64_t t0 = wait_begin_ticks();
-    enqueue_self(node);
-    // The sleep is parked in a thread_local stash and registered through
-    // the inline-slot handler path: no std::function, no allocation.  One
-    // stash suffices because a second wait_at_commit in the same
-    // transaction would trip prepare_node's already-waiting assertion
-    // before it could overwrite this one.
-    CommitSleep& cs = commit_sleep_stash();
-    cs = CommitSleep{this, &node, t0};
-    tm::on_commit_fn(&CondVar::commit_sleep_thunk, &cs);
-    // If the transaction aborts, the enqueue rolls back and a stale node
-    // must not linger flagged.
-    tm::on_abort_fn(&CondVar::clear_enqueued_thunk, &node);
+    // The node itself is the handler context: no std::function, no
+    // allocation.  The registering thread is the one that commits, so its
+    // node is still valid when the handler runs.
+    tm::on_commit_fn(
+        [](void* ctx) {
+          auto& node = *static_cast<detail::WaitNode*>(ctx);
+          node.cv->park(node);
+          // No re-acquire either: relay at once, as wait_final does.
+          morph_consume(node.morph);
+        },
+        &enqueue(tag));
   }
+
+  // Every notify below selects its victims inside one queue transaction and
+  // wakes them when the outermost enclosing transaction commits: at once
+  // for lock-based or unsynchronized callers ("naked notify" is safe),
+  // never if that transaction aborts.
 
   // ---- NOTIFYONE (Algorithm 5) ----
   //
-  // Dequeues one waiter (per the wake policy) and schedules its semaphore
-  // post for when the outermost enclosing transaction commits; immediate
-  // when called from lock-based or unsynchronized code.  Returns whether a
-  // waiter was selected (callable from any context; "naked notify" is safe).
+  // Dequeues one waiter (per the wake policy).  Returns whether a waiter
+  // was selected.
   bool notify_one();
 
   // ---- NOTIFYALL (Algorithm 6) ----
   //
-  // Dequeues every waiter and schedules all their posts.  Returns the
-  // number of threads notified.
+  // Dequeues every waiter, oldest first.  Returns the number of threads
+  // notified.
   std::size_t notify_all();
 
   // ---- NOTIFY-N (generalization) ----
   //
-  // Dequeues up to `n` waiters (per the wake policy) and schedules their
-  // posts; returns how many were selected.  Generalizes Birrell's
-  // "NOTIFY could accidentally wake more than one thread" into a
-  // deliberate batched wake (useful when k units of work arrive at once
-  // and waking the whole herd would be oblivious).
+  // Dequeues up to `n` waiters (per the wake policy) and returns how many
+  // were selected.  Generalizes Birrell's "NOTIFY could accidentally wake
+  // more than one thread" into a deliberate batched wake (useful when k
+  // units of work arrive at once and waking the whole herd would be
+  // oblivious).
   std::size_t notify_n(std::size_t n);
 
   // ---- NOTIFYBEST (§3.4) ----
@@ -294,10 +253,7 @@ class CondVar {
   // user space.  Returns whether a waiter was selected.
   template <typename Score>
   bool notify_best(Score&& score) {
-    const std::uint64_t notify_t0 = notify_begin_ticks();
-    bool notified = false;
-    tm::atomically([&] {
-      notified = false;  // the closure may re-execute
+    auto select = [&](Victims& out) {
       detail::WaitNode* best = nullptr;
       detail::WaitNode* best_prev = nullptr;
       auto best_score = decltype(score(std::uint64_t{})){};
@@ -314,14 +270,9 @@ class CondVar {
       }
       if (best == nullptr) return;
       unlink(best_prev, best);
-#if TMCV_TRACE
-      obs::stamp_notify(best->notify_ticks);
-#endif
-      tm::defer_wake(&best->sem);
-      notified = true;
-    });
-    count_notify(stats_.notify_best_calls, notified ? 1 : 0, notify_t0);
-    return notified;
+      out.push_back(best);
+    };
+    return select_and_wake(stats_.notify_best_calls, selector(select)) != 0;
   }
 
   // Number of threads currently queued (transactional snapshot; advisory).
@@ -341,84 +292,20 @@ class CondVar {
   void register_self();
   void unregister_self() noexcept;
 
-  // Timestamp for the enqueue->wake latency region; 0 when observability is
-  // compiled out or disabled at runtime.
-  [[nodiscard]] static std::uint64_t wait_begin_ticks() noexcept {
-#if TMCV_TRACE
-    return obs::region_begin();
-#else
-    return 0;
-#endif
-  }
+  // Lines 1-8 of WAIT: stamp this thread's node and insert it into the
+  // queue under a transaction.  Flat nesting merges this with an ambient
+  // transaction; from lock-based or unsynchronized contexts it is its own
+  // small transaction.
+  detail::WaitNode& enqueue(std::uint64_t tag);
 
-  // Grant instant of a notify, captured before its queue transaction (see
-  // count_notify for why the ordering matters).
-  [[nodiscard]] static std::uint64_t notify_begin_ticks() noexcept {
-    return wait_begin_ticks();
-  }
+  // enqueue, then line 9: end the caller's synchronization block.
+  detail::WaitNode& enqueue_and_release(SyncContext& sync, std::uint64_t tag);
 
-  // Post-wake bookkeeping shared by every wait flavour.
-  void finish_wait(detail::WaitNode& node, std::uint64_t t0) noexcept {
-    node.enqueued = false;
-    counters::add(stats_.waits);
-#if TMCV_TRACE
-    obs::region_end(obs::Event::kCvWait, t0, &obs::hist_cv_wait());
-    obs::consume_notify_stamp(node.notify_ticks);
-#else
-    (void)t0;
-#endif
-  }
-
-  detail::WaitNode& prepare_node(std::uint64_t tag) {
-    detail::WaitNode& node = detail::my_wait_node();
-    TMCV_ASSERT_MSG(!node.enqueued, "thread is already waiting on a condvar");
-    node.enqueued = true;
-#if TMCV_TRACE
-    node.notify_ticks.store(0, std::memory_order_relaxed);
-#endif
-    // Inside an ambient transaction, the enqueue (or the early commit that
-    // follows it) can abort and re-run the whole closure including this
-    // call; the rollback must clear the owner flag along with the queue
-    // state.  Registered through the inline-slot path: the node pointer is
-    // the whole context, so no allocation.
-    if (tm::in_txn())
-      tm::on_abort_fn(&CondVar::clear_enqueued_thunk, &node);
-    // Line 1 of WAIT: unsynchronized by design -- the node is privatized
-    // (unreachable from any queue) until the enqueue transaction commits.
-    node.next.store_plain(nullptr);
-    node.tag.store_plain(tag);
-    node.morph.sem = &node.sem;
-    // Let morph_requeue mirror relay-chain membership into this thread's
-    // wait slot (cleared by the WaitScope around the park on wake).
-    node.morph.wslot = my_wait_slot();
-    return node;
-  }
-
-  // Site label for the wait's registry publish: whatever transaction label
-  // was in flight when the caller blocked (the enqueue hint, or the user's
-  // own TMCV_TXN_SITE on an ambient transaction).  0 with TMCV_TRACE=OFF.
-  [[nodiscard]] static std::uint16_t wait_site() noexcept {
-    return tm::descriptor().txn_site();
-  }
-
-  // Lines 2-8 of WAIT: insert into the queue under a transaction.  Flat
-  // nesting merges this with an ambient transaction; from lock-based or
-  // unsynchronized contexts it is its own small transaction.
-  void enqueue_self(detail::WaitNode& node);
-
-  // The wait_at_commit sleep, parked for the inline-slot handler path.  The
-  // stash is thread_local (one per would-be sleeper) and must stay valid
-  // until the outermost commit runs the handler -- guaranteed because the
-  // registering thread is the one that commits.
-  struct CommitSleep {
-    CondVar* cv;
-    detail::WaitNode* node;
-    std::uint64_t t0;
-  };
-  [[nodiscard]] static CommitSleep& commit_sleep_stash() noexcept;
-  static void commit_sleep_thunk(void* ctx) noexcept;
-  // on_abort context is just the node: clear its owner flag.
-  static void clear_enqueued_thunk(void* ctx) noexcept;
+  // Line 10: sleep until notified (or, given a timeout, until it expires),
+  // then the post-wake bookkeeping.  Returns whether the wait was notified;
+  // a timeout is resolved against the queue as wait_for describes.
+  static constexpr std::uint64_t kNoTimeout = ~std::uint64_t{0};
+  bool park(detail::WaitNode& node, std::uint64_t timeout_ns = kNoTimeout);
 
   // Remove `node` given its predecessor (transactional context required).
   void unlink(detail::WaitNode* prev, detail::WaitNode* node);
@@ -447,51 +334,50 @@ class CondVar {
   template <typename Cont>
   void run_continuation(SyncContext& sync, detail::WaitNode& node,
                         Cont&& cont) {
-    if (sync.is_transactional()) {
-      // Lines 11-13 under TM: a fresh transaction with its own retry loop,
-      // so an abort re-runs only the continuation (never the first half).
-      // Relay first: see reacquire_and_relay for why.
-      morph_consume(node.morph);
-      auto& d = tm::descriptor();
-      tm::atomically(d.backend(), [&] { cont(); });
-      d.mark_split_done();
-    } else {
-      sync.begin_block();
-      morph_consume(node.morph);
+    if (!sync.is_transactional()) {
+      reacquire_and_relay(sync, node);
       cont();
       sync.end_block();
+      return;
     }
+    // Lines 11-13 under TM: a fresh transaction with its own retry loop,
+    // so an abort re-runs only the continuation (never the first half).
+    // Relay first: see reacquire_and_relay for why.
+    morph_consume(node.morph);
+    auto& d = tm::descriptor();
+    tm::atomically(d.backend(), [&] { cont(); });
+    d.mark_split_done();
   }
 
-  // `t0` is the notify's grant instant, captured BEFORE the queue
-  // transaction (notify_begin_ticks): the trace record must precede every
-  // wake it causes, or the offline causal check (tools/trace_report.py
-  // --causal) would see wakes without tokens whenever a victim stamps its
-  // wait-end before the notifier regains the CPU.
-  void count_notify(std::uint64_t& calls, std::size_t woken,
-                    std::uint64_t t0) noexcept {
-    counters::add(calls);
-    // Remember who notifies this condvar (by txn-site label) so the
-    // wait-for graph can point a parked waiter at its expected notifier.
-    last_notify_site_.store(tm::descriptor().txn_site(),
-                            std::memory_order_relaxed);
-    if (woken == 0)
-      counters::add(stats_.lost_notifies);
-    else
-      counters::add(stats_.threads_woken, woken);
-#if TMCV_TRACE
-    obs::emit_instant_at(obs::Event::kCvNotify, t0,
-                         static_cast<std::uint16_t>(
-                             woken > 0xffff ? 0xffff : woken));
-#else
-    (void)t0;
-#endif
+  // A type-erased reference to a selector: called inside the notify's
+  // queue transaction, it unlinks the waiters to wake and appends them to
+  // `out` in wake order.
+  using Victims = std::vector<detail::WaitNode*>;
+  struct Selector {
+    void* fn;
+    void (*call)(void* fn, Victims& out);
+  };
+  template <typename F>
+  static Selector selector(F& fn) noexcept {
+    return {&fn, [](void* f, Victims& out) { (*static_cast<F*>(f))(out); }};
   }
+
+  // The one NOTIFY routine: runs `select` in the queue transaction, stamps
+  // and wakes its victims, bumps `calls`.  Returns the number woken.
+  std::size_t select_and_wake(std::uint64_t& calls, Selector select);
+
+  // The selector of notify_one/all/n: cut min(n, size) waiters off the
+  // queue, oldest first under FIFO order, newest first under LIFO.
+  void cut(Victims& out, std::size_t n, WakePolicy order);
+
+  // Per-notify bookkeeping; `t0` is the notify's grant instant.
+  void count_notify(std::uint64_t& calls, std::size_t woken,
+                    std::uint64_t t0) noexcept;
 
   tm::var<detail::WaitNode*> head_{nullptr};
   tm::var<detail::WaitNode*> tail_{nullptr};
-  // Queue length, maintained transactionally by enqueue/unlink/drain so
-  // waiter_count() is an O(1) read instead of an O(n) walk.
+  // Queue length, maintained transactionally by enqueue/unlink/cut so
+  // waiter_count() is an O(1) read and cut knows where a suffix starts.
   tm::var<std::size_t> size_{0};
   WakePolicy policy_;
 

@@ -93,6 +93,8 @@ TxDescriptor::TxDescriptor() : slot_(0) {
   undo_log_.reserve(kInitialLogCapacity);
   redo_log_.reserve(kInitialLogCapacity);
   wake_batch_.reserve(kInitialLogCapacity);
+  commit_fns_.reserve(kInitialLogCapacity);
+  abort_fns_.reserve(kInitialLogCapacity);
 }
 
 void TxDescriptor::attach() {
@@ -117,11 +119,12 @@ namespace {
 
 // Descriptor pool: storage is recycled across threads but never freed, so
 // cross-thread dereferences through the registry stay valid for the life
-// of the process (quiescence scans, epoch collection).
+// of the process (quiescence scans, epoch collection).  The list itself is
+// immortal too, so pooled descriptors stay reachable at exit.
 std::atomic<bool> g_pool_lock{false};
 std::vector<TxDescriptor*>& pool_storage() {
-  static std::vector<TxDescriptor*> instance;
-  return instance;
+  static auto* instance = new std::vector<TxDescriptor*>;
+  return *instance;
 }
 
 TxDescriptor* pool_acquire() {
@@ -152,7 +155,7 @@ void pool_release(TxDescriptor* desc) {
 }  // namespace
 
 namespace detail {
-thread_local TxDescriptor* tls_descriptor = nullptr;
+constinit thread_local TxDescriptor* tls_descriptor = nullptr;
 }  // namespace detail
 
 TxDescriptor& descriptor_slow() noexcept {
@@ -591,6 +594,22 @@ bool TxDescriptor::reads_valid_orec() const noexcept {
 // Handlers & fences
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Run and clear a fn-handler log.  The handlers run from a moved-out list,
+// since one may start a transaction that registers more; the warmed buffer
+// then goes back, so the log stops allocating after warm-up.
+template <typename Log>
+void drain_fns(Log& log) {
+  Log fns = std::move(log);
+  log.clear();
+  for (const auto& h : fns) h.fn(h.ctx);
+  fns.clear();
+  if (log.empty()) log.swap(fns);
+}
+
+}  // namespace
+
 void TxDescriptor::on_commit(std::function<void()> fn) {
   if (!in_txn()) {
     counters::bump(stats_.handlers_run);
@@ -607,24 +626,14 @@ void TxDescriptor::on_commit_fn(HandlerFn fn, void* ctx) {
     fn(ctx);
     return;
   }
-  if (commit_fn_count_ < kInlineHandlerSlots) {
-    counters::bump(stats_.handlers_inline);
-    commit_fns_[commit_fn_count_++] = InlineHandler{fn, ctx};
-    return;
-  }
-  // Slot overflow: degrade to the allocating path rather than drop.
-  counters::bump(stats_.handlers_registered);
-  commit_handlers_.push_back([fn, ctx] { fn(ctx); });
+  counters::bump(stats_.handlers_inline);
+  commit_fns_.push_back(FnHandler{fn, ctx});
 }
 
 void TxDescriptor::on_abort_fn(HandlerFn fn, void* ctx) {
   if (!in_txn()) return;  // nothing to compensate outside a transaction
-  if (abort_fn_count_ < kInlineHandlerSlots) {
-    counters::bump(stats_.handlers_inline);
-    abort_fns_[abort_fn_count_++] = InlineHandler{fn, ctx};
-    return;
-  }
-  abort_handlers_.push_back([fn, ctx] { fn(ctx); });
+  counters::bump(stats_.handlers_inline);
+  abort_fns_.push_back(FnHandler{fn, ctx});
 }
 
 void TxDescriptor::defer_wake(BinarySemaphore* sem) {
@@ -653,19 +662,13 @@ void TxDescriptor::run_commit_handlers() {
   // and a wait_at_commit handler queued behind them may block this thread.
   flush_wake_batch();
   abort_handlers_.clear();
-  abort_fn_count_ = 0;
-  // Inline slots drain before the std::function vector; both drain from a
-  // local copy because handlers run post-commit with no transaction active
-  // and may themselves start transactions (re-registering handlers).
-  if (commit_fn_count_ != 0) {
-    InlineHandler fns[kInlineHandlerSlots];
-    const std::size_t n = commit_fn_count_;
-    for (std::size_t i = 0; i < n; ++i) fns[i] = commit_fns_[i];
-    commit_fn_count_ = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      counters::bump(stats_.handlers_run);
-      fns[i].fn(fns[i].ctx);
-    }
+  abort_fns_.clear();
+  // The fn log drains before the std::function vector; both drain from a
+  // moved-out list because handlers run post-commit with no transaction
+  // active and may themselves start transactions (re-registering handlers).
+  if (!commit_fns_.empty()) {
+    counters::bump(stats_.handlers_run, commit_fns_.size());
+    drain_fns(commit_fns_);
   }
   if (commit_handlers_.empty()) return;
   std::vector<std::function<void()>> handlers = std::move(commit_handlers_);
@@ -678,14 +681,8 @@ void TxDescriptor::run_commit_handlers() {
 
 void TxDescriptor::run_abort_handlers() noexcept {
   commit_handlers_.clear();
-  commit_fn_count_ = 0;
-  if (abort_fn_count_ != 0) {
-    InlineHandler fns[kInlineHandlerSlots];
-    const std::size_t n = abort_fn_count_;
-    for (std::size_t i = 0; i < n; ++i) fns[i] = abort_fns_[i];
-    abort_fn_count_ = 0;
-    for (std::size_t i = 0; i < n; ++i) fns[i].fn(fns[i].ctx);
-  }
+  commit_fns_.clear();
+  if (!abort_fns_.empty()) drain_fns(abort_fns_);
   std::vector<std::function<void()>> handlers = std::move(abort_handlers_);
   abort_handlers_.clear();
   for (auto& h : handlers) h();

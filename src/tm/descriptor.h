@@ -168,19 +168,15 @@ class TxDescriptor {
   void on_abort(std::function<void()> fn);
 
   // Allocation-free handler registration: a plain function pointer plus a
-  // context pointer, kept in fixed inline slots.  The condvar wait paths
-  // register exactly one handler per wait, and a std::function whose capture
-  // exceeds the small-buffer limit heap-allocates on every registration --
-  // measurable on the wait fast path.  The first kInlineHandlerSlots
-  // handlers of each kind stay inline; overflow silently degrades to the
-  // std::function path.  Inline handlers run before any std::function
-  // handlers of the same kind (registration order is preserved within each
-  // tier, not across tiers).
+  // context pointer, appended to a reserved POD log per kind (no heap once
+  // warmed up).  The condvar wait paths register their handlers this way,
+  // and a std::function whose capture exceeds the small-buffer limit
+  // heap-allocates on every registration -- measurable on the wait fast
+  // path.  These handlers run in registration order, before any
+  // std::function handlers of the same kind.
   using HandlerFn = void (*)(void*);
   void on_commit_fn(HandlerFn fn, void* ctx);
   void on_abort_fn(HandlerFn fn, void* ctx);
-
-  static constexpr std::size_t kInlineHandlerSlots = 4;
 
   // ---- batched wakeups ----
   //
@@ -510,16 +506,14 @@ class TxDescriptor {
   std::vector<Orec*> acquire_scratch_;
   std::vector<std::function<void()>> commit_handlers_;
   std::vector<std::function<void()>> abort_handlers_;
-  // Inline POD handler slots (see on_commit_fn): cleared on both commit and
-  // abort, drained before the std::function vectors above.
-  struct InlineHandler {
+  // POD handler logs (see on_commit_fn): cleared on both commit and abort,
+  // drained before the std::function vectors above.
+  struct FnHandler {
     HandlerFn fn;
     void* ctx;
   };
-  InlineHandler commit_fns_[kInlineHandlerSlots];
-  InlineHandler abort_fns_[kInlineHandlerSlots];
-  std::size_t commit_fn_count_ = 0;
-  std::size_t abort_fn_count_ = 0;
+  std::vector<FnHandler> commit_fns_;
+  std::vector<FnHandler> abort_fns_;
   std::vector<BinarySemaphore*> wake_batch_;
 
   // Dedup filter + log-index state (see the comments above).
@@ -673,7 +667,7 @@ void bump_commit_signal() noexcept;
 // The common case inlines to one thread-local pointer load: attach/detach
 // keep the cached pointer in sync with the pooled descriptor's lifetime.
 namespace detail {
-extern thread_local TxDescriptor* tls_descriptor;
+extern constinit thread_local TxDescriptor* tls_descriptor;
 }  // namespace detail
 
 [[nodiscard]] TxDescriptor& descriptor_slow() noexcept;

@@ -23,9 +23,11 @@ std::mutex& orphan_mutex() {
   static std::mutex m;
   return m;
 }
+// Immortal, never destroyed: a thread exiting during static destruction can
+// still orphan its bin here, and the retired nodes stay reachable at exit.
 std::vector<RetiredEntry>& orphan_list() {
-  static std::vector<RetiredEntry> list;
-  return list;
+  static auto* list = new std::vector<RetiredEntry>;
+  return *list;
 }
 
 // Per-thread bin of retired objects; leftovers are orphaned at thread exit

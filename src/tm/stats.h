@@ -55,8 +55,8 @@ struct Stats : counters::Family<Stats> {
   // Fast-path instrumentation (log index, wake batching).
   std::uint64_t log_index_rehashes = 0;  // redo/lock index growth events
   std::uint64_t handlers_registered = 0; // deferred onCommit handler allocs
-  std::uint64_t handlers_inline = 0;     // handlers kept in inline POD slots
-                                         // (registration without allocation)
+  std::uint64_t handlers_inline = 0;     // on_commit_fn/on_abort_fn handlers
+                                         // logged (no per-call allocation)
   std::uint64_t deferred_wakes = 0;      // semaphores queued in a wake batch
   std::uint64_t wake_batches = 0;        // wake-batch flushes at commit
 

@@ -2,9 +2,12 @@
 // Parsec+TMCondVar usage mode, plus the legacy facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/condvar.h"
@@ -268,6 +271,77 @@ TEST(CondVar, NotifyNWakesExactlyN) {
   EXPECT_EQ(woke.load(), kWaiters);
   EXPECT_EQ(cv.notify_n(1), 0u);  // empty queue
 }
+
+// notify_n's selection table, policy x k: with W tagged waiters enqueued in
+// a known order, notify_n(k) wakes exactly the first (FIFO) or the last
+// (LIFO) min(k, W) of them, and notify_one then drains the rest in policy
+// order.
+class NotifyNSelection
+    : public ::testing::TestWithParam<std::tuple<WakePolicy, std::size_t>> {};
+
+TEST_P(NotifyNSelection, CutsPolicyEndThenNotifyOneDrainsInOrder) {
+  constexpr std::size_t kW = 5;
+  const auto [policy, k] = GetParam();
+  CondVar cv(policy);
+  std::mutex woke_m;
+  std::vector<std::uint64_t> woke;
+  auto woken = [&] {
+    std::lock_guard<std::mutex> g(woke_m);
+    return woke;
+  };
+  auto await_woken = [&](std::size_t n) {
+    while (woken().size() < n) std::this_thread::yield();
+  };
+  std::vector<std::thread> waiters;
+  std::vector<std::uint64_t> policy_order;  // tags in the order to wake
+  for (std::size_t i = 0; i < kW; ++i) {
+    const std::uint64_t tag = 100 + i;
+    policy_order.push_back(tag);
+    waiters.emplace_back([&, tag] {
+      NoSync sync;
+      cv.wait_final(sync, tag);
+      std::lock_guard<std::mutex> g(woke_m);
+      woke.push_back(tag);
+    });
+    while (cv.waiter_count() < i + 1) std::this_thread::yield();
+  }
+  if (policy == WakePolicy::LIFO)
+    std::reverse(policy_order.begin(), policy_order.end());
+
+  const std::size_t m = std::min(k, kW);
+  EXPECT_EQ(cv.notify_n(k), m);
+  await_woken(m);
+  // Give any erroneous extra wakeups time to surface.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(cv.waiter_count(), kW - m);
+  std::vector<std::uint64_t> batch = woken();
+  std::sort(batch.begin(), batch.end());
+  std::vector<std::uint64_t> expected(policy_order.begin(),
+                                      policy_order.begin() + m);
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(batch, expected);
+
+  for (std::size_t i = m; i < kW; ++i) {
+    EXPECT_TRUE(cv.notify_one());
+    await_woken(i + 1);
+  }
+  for (auto& t : waiters) t.join();
+  const std::vector<std::uint64_t> all = woken();
+  EXPECT_EQ(std::vector<std::uint64_t>(all.begin() + m, all.end()),
+            std::vector<std::uint64_t>(policy_order.begin() + m,
+                                       policy_order.end()));
+  EXPECT_EQ(cv.waiter_count(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CondVar, NotifyNSelection,
+    ::testing::Combine(::testing::Values(WakePolicy::FIFO, WakePolicy::LIFO),
+                       ::testing::Values<std::size_t>(0, 1, 2, 4, 5, 6)),
+    [](const auto& info) {
+      const WakePolicy policy = std::get<0>(info.param);
+      return std::string(policy == WakePolicy::FIFO ? "Fifo" : "Lifo") +
+             "_k" + std::to_string(std::get<1>(info.param));
+    });
 
 TEST(LegacyCv, ProducerConsumerWithPredicateLoop) {
   condition_variable cv;

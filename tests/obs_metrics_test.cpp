@@ -316,6 +316,9 @@ TEST_F(ObsMetricsTest, ResetIsABaselineUnderConcurrentCommits) {
         tmcv::tm::atomically([&] { hot.store(hot.load() + 1); });
     });
   for (auto& w : workers) w.join();
+  // A slow-starting observer (sanitizer builds, loaded cores) may not have
+  // compared a single snapshot yet; let it, so the check is never vacuous.
+  while (snapshots.load() == 0) std::this_thread::yield();
   stop.store(true, std::memory_order_release);
   observer.join();
 
