@@ -1,30 +1,23 @@
-// Microbenchmarks: condition-variable operation costs -- our transaction-
-// friendly condvar head-to-head with std::condition_variable (the pthread
-// mechanism it replaces), per TM backend.
+// Microbenchmark: the condition variable's wake path -- herd wake-to-run
+// through the lock-based facade, the cost of the always-on wait points, and
+// the stuck-thread diagnosis pipeline.
 //
-// Default mode runs the google-benchmark suite.  `--json` instead runs a
-// standalone 32-waiter notify-all cycle and writes BENCH_micro_condvar.json
-// (ops/sec, abort/commit ratio, dedup hit rate, and the wake-batch counters
-// that prove notify-all performs O(1) onCommit handler allocations), plus a
-// BENCH_micro_condvar.metrics.json observability-registry sibling (+ .prom)
-// with cv-wait / notify->wake percentiles from unmeasured timed rounds.
+// `--json-herd [path]` runs the herd + semaphore ping-pong A/B and writes
+// BENCH_micro_condvar_herd.json.  `--lost-wakeup` injects one dropped
+// notify and waits for the watchdog's stuck_thread alert.
 //
 // `--trace PATH` appends an unmeasured traced herd phase and writes its
 // Chrome trace to PATH (input for tools/trace_report.py --causal).
 // `--serve-metrics[=PORT]` starts the live telemetry endpoint for the run;
 // `--hold-ms=N` keeps it up N ms after the workload finishes.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cerrno>
 #include <cstring>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -37,267 +30,16 @@
 #include "obs/waitgraph.h"
 #include "obs/watchdog.h"
 #include "sync/semaphore.h"
-#include "sync/waitpoint.h"
-#include "tm/api.h"
-#include "util/timing.h"
-
-// The --json-herd mode A/Bs against a pre-wake-path-overhaul build of this
-// same source (spin-then-park + wait-morphing landed together), so the new
-// knobs and counters are feature-tested rather than assumed.
-#if __has_include("sync/wait_morph.h")
 #include "sync/spin.h"
 #include "sync/wait_morph.h"
+#include "sync/waitpoint.h"
 #include "sync/wake_stats.h"
-#define TMCV_BENCH_HAVE_WAKE_PATH 1
-#else
-#define TMCV_BENCH_HAVE_WAKE_PATH 0
-#endif
+#include "tm/api.h"
+#include "util/timing.h"
 
 namespace {
 
 using namespace tmcv;
-
-// BENCH_foo.json -> BENCH_foo.metrics.json (registry snapshot sibling).
-std::string metrics_path_for(const char* out_path) {
-  std::string p(out_path);
-  const std::string suffix = ".json";
-  if (p.size() > suffix.size() &&
-      p.compare(p.size() - suffix.size(), suffix.size(), suffix) == 0)
-    p.resize(p.size() - suffix.size());
-  return p + ".metrics.json";
-}
-
-tm::Backend backend_of(const benchmark::State& state) {
-  switch (state.range(0)) {
-    case 0:
-      return tm::Backend::EagerSTM;
-    case 1:
-      return tm::Backend::LazySTM;
-    default:
-      return tm::Backend::HTM;
-  }
-}
-
-// Notify with no waiter: the queue-probe transaction only (lost notify).
-void BM_NotifyOneEmpty(benchmark::State& state) {
-  tm::set_default_backend(backend_of(state));
-  state.SetLabel(tm::to_string(backend_of(state)));
-  CondVar cv;
-  for (auto _ : state) benchmark::DoNotOptimize(cv.notify_one());
-  tm::set_default_backend(tm::Backend::EagerSTM);
-}
-BENCHMARK(BM_NotifyOneEmpty)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_StdNotifyOneEmpty(benchmark::State& state) {
-  std::condition_variable cv;
-  for (auto _ : state) cv.notify_one();
-}
-BENCHMARK(BM_StdNotifyOneEmpty);
-
-// Full sleep/wake round trip through a mutex-based critical section: the
-// headline "overhead versus pthread condition variables" number.
-template <typename CvT>
-void roundtrip_loop(benchmark::State& state) {
-  std::mutex m;
-  CvT cv;
-  bool token = false;
-  std::atomic<bool> stop{false};
-  std::thread partner([&] {
-    for (;;) {
-      std::unique_lock<std::mutex> lk(m);
-      cv.wait(lk, [&] { return token || stop.load(); });
-      if (stop.load()) return;
-      token = false;
-      lk.unlock();
-      cv.notify_one();
-    }
-  });
-  for (auto _ : state) {
-    {
-      std::unique_lock<std::mutex> lk(m);
-      token = true;
-    }
-    cv.notify_one();
-    std::unique_lock<std::mutex> lk(m);
-    cv.wait(lk, [&] { return !token; });
-  }
-  stop.store(true);
-  cv.notify_one();
-  partner.join();
-}
-
-void BM_CvRoundtrip_TmCondVar(benchmark::State& state) {
-  tm::set_default_backend(backend_of(state));
-  state.SetLabel(tm::to_string(backend_of(state)));
-  roundtrip_loop<condition_variable>(state);
-  tm::set_default_backend(tm::Backend::EagerSTM);
-}
-BENCHMARK(BM_CvRoundtrip_TmCondVar)->Arg(0)->Arg(1)->Arg(2)->UseRealTime();
-
-void BM_CvRoundtrip_StdCondVar(benchmark::State& state) {
-  roundtrip_loop<std::condition_variable>(state);
-}
-BENCHMARK(BM_CvRoundtrip_StdCondVar)->UseRealTime();
-
-// Notify from inside a transaction: dequeue + deferred (on-commit) post.
-void BM_TxNotifyDeferredEmpty(benchmark::State& state) {
-  tm::set_default_backend(backend_of(state));
-  state.SetLabel(tm::to_string(backend_of(state)));
-  CondVar cv;
-  for (auto _ : state)
-    tm::atomically([&] { cv.notify_one(); });
-  tm::set_default_backend(tm::Backend::EagerSTM);
-}
-BENCHMARK(BM_TxNotifyDeferredEmpty)->Arg(0)->Arg(1)->Arg(2);
-
-// waiter_count: a read-only queue-walk transaction.
-void BM_WaiterCountEmpty(benchmark::State& state) {
-  CondVar cv;
-  for (auto _ : state) benchmark::DoNotOptimize(cv.waiter_count());
-}
-BENCHMARK(BM_WaiterCountEmpty);
-
-// notify_best on an empty queue (selector-walk transaction).
-void BM_NotifyBestEmpty(benchmark::State& state) {
-  CondVar cv;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        cv.notify_best([](std::uint64_t tag) { return tag; }));
-}
-BENCHMARK(BM_NotifyBestEmpty);
-
-// ---------------------------------------------------------------------------
-// --json mode: 32-waiter notify-all cycles for BENCH_micro_condvar.json
-// ---------------------------------------------------------------------------
-//
-// kWaiters threads park on the condvar; the main thread repeatedly
-// notify-alls them from inside a transaction once the queue is full again.
-// Throughput is waiters-woken per second; the stats deltas demonstrate the
-// allocation-free batched wake path (zero onCommit handler allocations and
-// one wake-batch flush per notify-all).
-
-int run_json_mode(const char* out_path) {
-  constexpr int kWaiters = 32;
-  constexpr int kRounds = 200;
-
-  CondVar cv;
-  std::mutex m;
-  std::atomic<bool> stop{false};
-  std::atomic<int> exited{0};
-  // The round counter is transactional state: it is bumped inside the
-  // notify transaction, so an abort/retry rolls it back instead of
-  // double-counting (outside transactions load() is a plain read).
-  tm::var<std::uint64_t> round(0);
-  std::vector<std::thread> waiters;
-  for (int t = 0; t < kWaiters; ++t) {
-    waiters.emplace_back([&] {
-      std::uint64_t seen = 0;
-      m.lock();  // LockSync describes locks the caller already holds
-      LockSync sync(m);
-      while (!stop.load()) {
-        // Wait for the next notify-all round (predicate re-checked under
-        // the lock so a late thread never sleeps through its round).
-        while (round.load() == seen && !stop.load()) cv.wait(sync);
-        seen = round.load();
-      }
-      m.unlock();
-      exited.fetch_add(1);
-    });
-  }
-
-  const auto wait_for_full_queue = [&] {
-    while (cv.waiter_count() < kWaiters) std::this_thread::yield();
-  };
-
-  wait_for_full_queue();  // warm-up: everyone parked once
-  tm::stats_reset();
-  const tm::Stats before = tm::stats_snapshot();
-
-  // Measured rounds run with latency timing OFF: the wake cycle is so
-  // short that the clock reads per wait measurably depress the committed
-  // throughput number (~25% on the 1-core container).
-  tmcv::Stopwatch sw;
-  for (int r = 0; r < kRounds; ++r) {
-    tm::atomically([&] {
-      round.store(round.load() + 1);
-      cv.notify_all();
-    });
-    wait_for_full_queue();
-  }
-  const double elapsed = sw.elapsed_seconds();
-
-  const tm::Stats after = tm::stats_snapshot();
-
-  // Unmeasured timed rounds: populate the cv-wait / notify->wake
-  // histograms for the metrics sibling without perturbing the throughput
-  // figure above.
-  tmcv::obs::set_timing_enabled(true);
-  for (int r = 0; r < kRounds / 4; ++r) {
-    tm::atomically([&] {
-      round.store(round.load() + 1);
-      cv.notify_all();
-    });
-    wait_for_full_queue();
-  }
-  tmcv::obs::set_timing_enabled(false);
-  stop.store(true);
-  // A waiter can re-park after a single final notify (the stop check and
-  // the enqueue are not atomic), so notify until every thread has exited.
-  while (exited.load() < kWaiters) {
-    cv.notify_all();
-    std::this_thread::yield();
-  }
-  for (auto& th : waiters) th.join();
-
-  const auto d = [&](std::uint64_t tm::Stats::*f) {
-    return static_cast<double>(after.*f - before.*f);
-  };
-  const double attempts = d(&tm::Stats::commits) + d(&tm::Stats::aborts);
-  const double wakes_per_sec = double(kWaiters) * kRounds / elapsed;
-  std::FILE* f = std::fopen(out_path, "w");
-  if (!f) {
-    std::perror("fopen");
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"micro_condvar_notify_all\",\n"
-               "  \"backend\": \"EagerSTM\",\n"
-               "  \"waiters\": %d,\n"
-               "  \"rounds\": %d,\n"
-               "  \"ops_per_sec\": %.0f,\n"
-               "  \"notify_all_per_sec\": %.0f,\n"
-               "  \"abort_rate\": %.6f,\n"
-               "  \"abort_commit_ratio\": %.6f,\n"
-               "  \"dedup_hit_rate\": %.6f,\n"
-               "  \"commits\": %.0f,\n"
-               "  \"aborts\": %.0f,\n"
-               "  \"handler_allocs_per_notify_all\": %.4f,\n"
-               "  \"deferred_wakes_per_notify_all\": %.2f,\n"
-               "  \"wake_batches_per_notify_all\": %.4f\n"
-               "}\n",
-               kWaiters, kRounds, wakes_per_sec, kRounds / elapsed,
-               attempts ? d(&tm::Stats::aborts) / attempts : 0.0,
-               d(&tm::Stats::commits) != 0.0
-                   ? d(&tm::Stats::aborts) / d(&tm::Stats::commits)
-                   : 0.0,
-               after.dedup_hit_rate(), d(&tm::Stats::commits),
-               d(&tm::Stats::aborts),
-               d(&tm::Stats::handlers_registered) / kRounds,
-               d(&tm::Stats::deferred_wakes) / kRounds,
-               d(&tm::Stats::wake_batches) / kRounds);
-  std::fclose(f);
-  const std::string mpath = metrics_path_for(out_path);
-  if (!obs::write_metrics_files(obs::metrics_snapshot(), mpath)) {
-    std::perror("write_metrics_files");
-    return 1;
-  }
-  std::printf(
-      "wrote %s (wakes/sec=%.0f, handler allocs per notify-all=%.4f) and %s\n",
-      out_path, wakes_per_sec, d(&tm::Stats::handlers_registered) / kRounds,
-      mpath.c_str());
-  return 0;
-}
 
 // ---------------------------------------------------------------------------
 // --json-herd mode: wake-path A/B for BENCH_micro_condvar_herd.json
@@ -360,11 +102,7 @@ int run_json_herd_mode(const char* out_path) {
       {
         std::unique_lock<std::mutex> lk(m);
         ++round;
-#if TMCV_BENCH_HAVE_WAKE_PATH
         cv.notify_all(lk);  // scoped: morph the herd onto the lock's chain
-#else
-        cv.notify_all();  // pre-overhaul facade: herd wake under the lock
-#endif
       }
       wait_for_full_queue();
       if (round_ticks != nullptr)
@@ -411,11 +149,9 @@ int run_json_herd_mode(const char* out_path) {
   std::sort(rep_ratios, rep_ratios + kAbReps);
   const double median_ratio =
       (rep_ratios[kAbReps / 2 - 1] + rep_ratios[kAbReps / 2]) / 2.0;
-#if TMCV_BENCH_HAVE_WAKE_PATH
   // Wake counters cover exactly one enabled pass (plus the pingpong below)
   // so the committed magnitudes stay comparable across revisions.
   const WakeStats wake_before = wake_stats_snapshot();
-#endif
   const double herd_elapsed = herd_pass(kRounds, nullptr);
   const double rate_on = double(kWaiters) * kRounds / herd_elapsed;
   // Positive = publishing wait points costs throughput; a negative value
@@ -426,10 +162,8 @@ int run_json_herd_mode(const char* out_path) {
   // default explicitly so the CI parks_avoided > 0 assertion holds even if
   // TMCV_NO_SPIN leaked into the environment.
   constexpr int kPingRounds = 20000;
-#if TMCV_BENCH_HAVE_WAKE_PATH
   const unsigned saved_budget = spin_budget();
   set_spin_budget(16);
-#endif
   BinarySemaphore ping, pong;
   std::thread partner([&] {
     for (int i = 0; i < kPingRounds; ++i) {
@@ -444,20 +178,10 @@ int run_json_herd_mode(const char* out_path) {
   }
   const double ping_elapsed = sw2.elapsed_seconds();
   partner.join();
-#if TMCV_BENCH_HAVE_WAKE_PATH
   set_spin_budget(saved_budget);
   WakeStats wd = wake_stats_snapshot();
   wd -= wake_before;
-  const int have_wake_path = 1;
   const int morphing = wait_morphing() ? 1 : 0;
-#else
-  struct {
-    std::uint64_t spin_attempts = 0, spin_rounds = 0, parks_avoided = 0,
-                  parks = 0, requeues = 0, handoffs = 0;
-  } wd;
-  const int have_wake_path = 0;
-  const int morphing = 0;
-#endif
 
   std::FILE* f = std::fopen(out_path, "w");
   if (!f) {
@@ -468,11 +192,7 @@ int run_json_herd_mode(const char* out_path) {
       f,
       "{\n"
       "  \"benchmark\": \"micro_condvar_herd\",\n"
-      "  \"have_wake_path\": %d,\n"
       "  \"wait_morphing\": %d,\n"
-      // Headline alias for tools/bench_check.py's throughput floor: the
-      // herd benchmark's "operation" is one waiter carried wake-to-run.
-      "  \"ops_per_sec\": %.0f,\n"
       "  \"waitpoint_overhead_pct\": %.2f,\n"
       "  \"herd\": {\n"
       "    \"waiters\": %d,\n"
@@ -493,9 +213,8 @@ int run_json_herd_mode(const char* out_path) {
       "    \"handoffs\": %llu\n"
       "  }\n"
       "}\n",
-      have_wake_path, morphing, rate_on, waitpoint_overhead_pct, kWaiters,
-      kRounds, rate_on, kRounds / herd_elapsed,
-      kPingRounds, kPingRounds / ping_elapsed,
+      morphing, waitpoint_overhead_pct, kWaiters, kRounds, rate_on,
+      kRounds / herd_elapsed, kPingRounds, kPingRounds / ping_elapsed,
       static_cast<unsigned long long>(wd.spin_attempts),
       static_cast<unsigned long long>(wd.spin_rounds),
       static_cast<unsigned long long>(wd.parks_avoided),
@@ -663,11 +382,7 @@ int run_traced_herd(const char* trace_path) {
     {
       std::unique_lock<std::mutex> lk(m);
       ++round;
-#if TMCV_BENCH_HAVE_WAKE_PATH
       cv.notify_all(lk);  // scoped: morph the herd onto the lock's chain
-#else
-      cv.notify_all();
-#endif
     }
     // A waiter acking round r may not have re-parked yet when round r+1 is
     // notified; the predicate re-check under the mutex makes that benign,
@@ -697,7 +412,9 @@ int run_traced_herd(const char* trace_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Flags consumed here (and stripped before google-benchmark sees argv):
+  // Flags:
+  //   --json-herd [PATH]      herd + ping-pong A/B, write PATH (default
+  //                           BENCH_micro_condvar_herd.json)
   //   --serve-metrics[=PORT]  live telemetry endpoint for the whole run
   //   --hold-ms=N             keep the endpoint alive N ms after the run
   //   --trace PATH            append the traced herd phase, write PATH
@@ -717,15 +434,13 @@ int main(int argc, char** argv) {
   long history_ms = 0;
   bool watchdog_on = false;
   const char* trace_path = nullptr;
-  // 0 = google-benchmark, 1 = --json, 2 = --json-herd, 3 = --lost-wakeup
+  // 0 = none (--trace alone), 1 = --json-herd, 2 = --lost-wakeup
   int mode = 0;
   const char* out_path = nullptr;
   int lost_round = 3;
   long stuck_ms = 500;
   long linger_ms = 0;
   const char* dump_path = nullptr;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--serve-metrics", 15) == 0 &&
@@ -742,15 +457,12 @@ int main(int argc, char** argv) {
       watchdog_on = true;
     } else if (std::strcmp(a, "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
-    } else if (std::strcmp(a, "--json") == 0) {
-      mode = 1;
-      if (i + 1 < argc && argv[i + 1][0] != '-') out_path = argv[++i];
     } else if (std::strcmp(a, "--json-herd") == 0) {
-      mode = 2;
+      mode = 1;
       if (i + 1 < argc && argv[i + 1][0] != '-') out_path = argv[++i];
     } else if (std::strncmp(a, "--lost-wakeup", 13) == 0 &&
                (a[13] == '\0' || a[13] == '=')) {
-      mode = 3;
+      mode = 2;
       if (a[13] == '=') lost_round = std::atoi(a + 14);
       if (lost_round < 2) lost_round = 2;  // need >= 1 healthy notify first
     } else if (std::strncmp(a, "--stuck-ms=", 11) == 0) {
@@ -760,8 +472,15 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(a, "--dump=", 7) == 0) {
       dump_path = a + 7;
     } else {
-      passthrough.push_back(argv[i]);
+      std::fprintf(stderr, "micro_condvar: unknown arg '%s'\n", a);
+      return 1;
     }
+  }
+  if (mode == 0 && trace_path == nullptr) {
+    std::fprintf(stderr,
+                 "usage: micro_condvar {--json-herd [PATH] | "
+                 "--lost-wakeup[=ROUND] | --trace PATH} [flags]\n");
+    return 1;
   }
   if (serve) {
     tmcv::obs::set_attribution_enabled(true);
@@ -775,7 +494,7 @@ int main(int argc, char** argv) {
     std::printf("telemetry: http://127.0.0.1:%d/metrics\n", port);
     std::fflush(stdout);
   }
-  if (mode == 3) {
+  if (mode == 2) {
     // --lost-wakeup runs its own recorder + watchdog (fast cadence, low
     // stuck threshold); the generic flags would double-start them.
     watchdog_on = false;
@@ -795,23 +514,12 @@ int main(int argc, char** argv) {
     tmcv::obs::watchdog().start(tmcv::obs::default_rules());
   int rc = 0;
   if (mode == 1) {
-    rc = run_json_mode(out_path ? out_path : "BENCH_micro_condvar.json");
-  } else if (mode == 2) {
     rc = run_json_herd_mode(out_path ? out_path
                                      : "BENCH_micro_condvar_herd.json");
-  } else if (mode == 3) {
+  } else if (mode == 2) {
     rc = run_lost_wakeup_mode(lost_round, stuck_ms, linger_ms, dump_path);
   }
   if (rc == 0 && trace_path != nullptr) rc = run_traced_herd(trace_path);
-  if (mode == 0 && trace_path == nullptr) {
-    int bench_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               passthrough.data()))
-      return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
   if (serve) {
     if (hold_ms > 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(hold_ms));

@@ -31,9 +31,8 @@
 // the sum of customer bills, and the sum of booked record prices must all
 // agree -- the macro-scale lost-update canary.
 //
-// `--json [path]` writes BENCH_vacation.json: both mixes' headline numbers
-// plus a per-backend sweep (eager/lazy/norec/auto) on the low-contention
-// mix, with the usual .metrics.json sibling.  `--serve-metrics[=PORT]`,
+// `--json [path]` writes BENCH_vacation.json: both mixes' headline numbers,
+// with the usual .metrics.json sibling.  `--serve-metrics[=PORT]`,
 // `--hold-ms=N`, `--backend=NAME`, `--threads=N`, `--txns=N` follow the
 // micro_tm conventions.
 #include <algorithm>
@@ -49,7 +48,6 @@
 #include <thread>
 #include <vector>
 
-#include "backend_sweep.h"
 #include "core/c_api.h"
 #include "obs/attribution.h"
 #include "obs/metrics.h"
@@ -65,10 +63,6 @@ namespace {
 
 using namespace tmcv::tm;
 using tmcv::Xoshiro256;
-using tmcv::bench::SweepLeg;
-using tmcv::bench::fprint_sweep;
-using tmcv::bench::metrics_path_for;
-using tmcv::bench::run_backend_sweep;
 using u64 = std::uint64_t;
 
 // ---------------------------------------------------------------------------
@@ -372,6 +366,16 @@ struct BackendChoice {
 };
 BackendChoice g_backend_choice;
 
+// BENCH_foo.json -> BENCH_foo.metrics.json (registry snapshot sibling).
+std::string metrics_path_for(const char* out_path) {
+  std::string p(out_path);
+  const std::string suffix = ".json";
+  if (p.size() > suffix.size() &&
+      p.compare(p.size() - suffix.size(), suffix.size(), suffix) == 0)
+    p.resize(p.size() - suffix.size());
+  return p + ".metrics.json";
+}
+
 struct MixResult {
   const Mix* mix;
   double ops_per_sec;
@@ -439,14 +443,6 @@ int run_json_mode(const char* out_path, int threads, int txns_override) {
   run_mix_once(kLowContention, threads, low.txns_per_thread / 2 + 1, nullptr);
   tmcv::obs::set_timing_enabled(false);
 
-  // Per-backend sweep on the low-contention mix (fresh world per rep; the
-  // auto leg starts from EagerSTM and must re-discover the winner).
-  const std::vector<SweepLeg> sweep =
-      run_backend_sweep({"eager", "lazy", "norec", "auto"}, [&] {
-        return run_mix_once(kLowContention, threads, low.txns_per_thread,
-                            nullptr);
-      });
-
   if (!g_audit_ok.load()) return 1;
 
   std::FILE* f = std::fopen(out_path, "w");
@@ -464,7 +460,6 @@ int run_json_mode(const char* out_path, int threads, int txns_override) {
                "  \"threads\": %d,\n",
                g_backend_choice.set ? g_backend_choice.label : "EagerSTM",
                tmcv_get_spin_budget(), threads);
-  fprint_sweep(f, sweep);
   std::fprintf(f, "  \"mixes\": {\n");
   fprint_mix(f, low, false);
   fprint_mix(f, high, true);

@@ -85,7 +85,7 @@ struct KvServer::Impl {
     out.push_back({"kv_hits", s.hits});
     out.push_back({"kv_misses", s.misses});
     out.push_back({"kv_evictions", s.evictions});
-    out.push_back({"kv_size", s.size});
+    out.push_back({"kv_size", s.size, /*gauge=*/true});
   }
 
   void wake_poller() {

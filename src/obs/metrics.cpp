@@ -117,13 +117,15 @@ MetricsSnapshot metrics_delta(const MetricsSnapshot& now,
       }
   d.attribution = attribution_delta(now.attribution, before.attribution);
   // App counters match by name (a counter absent from `before` appeared in
-  // between: its whole value is delta).
-  for (AppCounter& ac : d.app)
+  // between: its whole value is delta).  A gauge keeps its current value.
+  for (AppCounter& ac : d.app) {
+    if (ac.gauge) continue;
     for (const AppCounter& bc : before.app)
       if (bc.name == ac.name) {
         ac.value = ac.value > bc.value ? ac.value - bc.value : 0;
         break;
       }
+  }
   // Stall entries match by (reason, site); totals are re-derived from the
   // diffed entries so the "total_ns == sum of entry ns" contract survives
   // the subtraction (total_ticks likewise stays the two-ledger diff).
@@ -438,7 +440,10 @@ std::string to_prometheus(const MetricsSnapshot& s) {
                           ? c
                           : '_');
     const std::string metric = "tmcv_app_" + ident;
-    header(metric, "counter", "Registered application counter.");
+    if (ac.gauge)
+      header(metric, "gauge", "Registered application gauge.");
+    else
+      header(metric, "counter", "Registered application counter.");
     os << metric << " " << ac.value << "\n";
   }
   for_each_hist(s, [&](const NamedHist& h) {

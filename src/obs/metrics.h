@@ -45,14 +45,18 @@ struct RingDrops {
 // /metrics.json` mid-run shows `kv_get_total` next to `commits`.
 //
 // Names should be snake_case identifiers; they are exported verbatim into
-// JSON under "app" and as `tmcv_app_<name>` Prometheus counters.  Callbacks
-// must be cheap (relaxed atomic loads) and thread-safe; they run on the
-// telemetry pump thread and on any thread that calls metrics_snapshot().
+// JSON under "app" and as `tmcv_app_<name>` Prometheus counters.  A source
+// that reports a level which can fall (a store's live size) sets `gauge`:
+// a delta then keeps its current value, and Prometheus types it `gauge`.
+// Callbacks must be cheap (relaxed atomic loads) and thread-safe; they run
+// on the telemetry pump thread and on any thread that calls
+// metrics_snapshot().
 // ---------------------------------------------------------------------------
 
 struct AppCounter {
   std::string name;
   std::uint64_t value = 0;
+  bool gauge = false;
 };
 
 using AppCounterFn = void (*)(void* ctx, std::vector<AppCounter>& out);

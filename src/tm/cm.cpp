@@ -9,7 +9,6 @@ namespace tmcv::tm {
 namespace {
 
 std::atomic<std::uint32_t> g_conflict_streak_limit{32};
-std::atomic<std::uint32_t> g_orec_wait_rounds{8};
 
 // Saturating fallback pressure: budget = kHtmAttemptsBeforeSerial >> p,
 // so 0..3 maps to 8, 4, 2, 1 hardware attempts.
@@ -30,14 +29,6 @@ void cm_set_conflict_streak_limit(std::uint32_t k) noexcept {
 
 std::uint32_t cm_conflict_streak_limit() noexcept {
   return g_conflict_streak_limit.load(std::memory_order_relaxed);
-}
-
-void cm_set_orec_wait_rounds(std::uint32_t rounds) noexcept {
-  g_orec_wait_rounds.store(rounds, std::memory_order_relaxed);
-}
-
-std::uint32_t cm_orec_wait_rounds() noexcept {
-  return g_orec_wait_rounds.load(std::memory_order_relaxed);
 }
 
 void cm_note_serial_escalation(std::uint16_t site) noexcept {

@@ -49,6 +49,9 @@ struct TxAbort {
 // Retry budgets before escalating to the serial lock.
 inline constexpr int kStmAttemptsBeforeSerial = 64;
 inline constexpr int kHtmAttemptsBeforeSerial = 8;
+// Bounded polite-wait rounds on a locked orec during commit-time acquisition
+// before declaring a conflict.
+inline constexpr std::uint32_t kOrecWaitRounds = 8;
 
 // ---- policy knobs (process-wide; set between phases, read on abort paths) --
 
@@ -58,11 +61,6 @@ inline constexpr int kHtmAttemptsBeforeSerial = 8;
 // quiescing, so expensive) serial drain stays rare on oversubscribed boxes.
 void cm_set_conflict_streak_limit(std::uint32_t k) noexcept;
 [[nodiscard]] std::uint32_t cm_conflict_streak_limit() noexcept;
-
-// Bounded polite-wait rounds on a locked orec during commit-time acquisition
-// before declaring a conflict (0 restores abort-on-sight).  Default 8.
-void cm_set_orec_wait_rounds(std::uint32_t rounds) noexcept;
-[[nodiscard]] std::uint32_t cm_orec_wait_rounds() noexcept;
 
 // Attribution hook: a transaction labeled `site` (obs/attribution.h; 0 =
 // unattributed) escalated to the serial lock.  Recorded alongside the

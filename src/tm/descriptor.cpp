@@ -735,7 +735,6 @@ OrecWord TxDescriptor::wait_for_orec_unlock(Orec& o) noexcept {
 #if TMCV_TRACE
   const std::uint64_t t0 = obs::region_begin();
 #endif
-  const std::uint32_t rounds = cm_orec_wait_rounds();
   OrecWord cur = o.load(std::memory_order_acquire);
   // Publish the polite wait: target is the contested stripe, detail its
   // index, and the site is the OWNER's transaction label (who we wait FOR;
@@ -749,7 +748,8 @@ OrecWord TxDescriptor::wait_for_orec_unlock(Orec& o) noexcept {
   }
   WaitScope wp(WaitReason::kOrec, &o, owner_site,
                static_cast<std::uint32_t>(orec_index(o)));
-  for (std::uint32_t r = 0; r < rounds && orec_is_locked(cur); ++r) {
+  for (std::uint32_t r = 0; r < kOrecWaitRounds && orec_is_locked(cur);
+       ++r) {
     if (r < 2) {
       // Short jittered spins first: commit-time holds are usually a few
       // stores long, and jitter keeps simultaneous waiters from re-probing

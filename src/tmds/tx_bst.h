@@ -6,11 +6,10 @@
 // write set of an insert/erase is tiny (one or two pointer stores), but the
 // read path is at the mercy of the key distribution: random keys give
 // O(log n), monotone keys degrade to a linked list -- which is exactly the
-// point.  The skiplist-vs-BST sweep in bench/micro_tmds and the vacation
-// benchmark make the permissiveness/overhead trade-off measurable instead
-// of argued (read-set size drives validation cost on the orec backends;
-// NOrec revalidates by value, so deep read paths cost it only on commit
-// traffic).
+// point.  The vacation benchmark (its customer table is a TxBst) makes the
+// permissiveness/overhead trade-off measurable instead of argued (read-set
+// size drives validation cost on the orec backends; NOrec revalidates by
+// value, so deep read paths cost it only on commit traffic).
 //
 // Erase uses the textbook internal scheme: a node with two children swaps
 // payload with its in-order successor (leftmost node of the right subtree)

@@ -6,9 +6,9 @@
 // deliberate stress case for read-set cost -- on the orec backends every
 // hop is a stripe lookup plus a version check and the read set grows with
 // the traversal, while NOrec logs (address, value) pairs and validates
-// against one global counter, which is why the list is the structure where
-// NOrec's per-read economics win by the widest margin (measured in
-// bench/micro_tmds; see docs/DATASTRUCTURES.md for the footprint table).
+// against one global counter, which is why the list is the one structure
+// where NOrec leads on every access mix (see docs/BACKENDS.md §2 for the
+// measurements and docs/DATASTRUCTURES.md for the footprint table).
 //
 // Nodes are immutable in key (like the skiplist) and linked through one
 // tm::var pointer; erase unlinks and epoch-retires.

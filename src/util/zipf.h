@@ -1,6 +1,7 @@
-// Zipfian key-distribution generator, shared by every workload that claims
-// "zipfian" in its JSON (bench/micro_tm.cpp's contended profile and the KV
-// load driver) so the skew they report is computed one way, in one place.
+// Zipfian key-distribution generator, shared by every workload that draws
+// zipfian keys (bench/micro_tm.cpp's contended profile, the KV load driver
+// and benchmark/tmcv_bench.cpp's txn_mix) so the skew they report is
+// computed one way, in one place.
 //
 // Construction builds the CDF once (O(n) pow() calls); each draw is a
 // binary search over it (O(log n), allocation-free) fed by a caller-owned

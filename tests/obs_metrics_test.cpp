@@ -130,6 +130,35 @@ TEST_F(ObsMetricsTest, WriteFilesAndChromeTrace) {
   std::remove("obs_test_trace.json");
 }
 
+// An app gauge reports a level that can fall (the KV store's live size): a
+// delta keeps its current value, where an app counter is differenced.
+TEST_F(ObsMetricsTest, AppGaugeKeepsItsValueAcrossADelta) {
+  struct Source {
+    std::uint64_t events;
+    std::uint64_t level;
+  } src{10, 7};
+  const obs::AppCounterFn scrape = [](void* ctx,
+                                      std::vector<obs::AppCounter>& out) {
+    const auto* s = static_cast<const Source*>(ctx);
+    out.push_back({"test_events", s->events});
+    out.push_back({"test_level", s->level, /*gauge=*/true});
+  };
+  obs::register_app_counters(scrape, &src);
+  const obs::MetricsSnapshot before = obs::metrics_snapshot();
+  src = {15, 3};  // five more events; the level fell
+  const obs::MetricsSnapshot after = obs::metrics_snapshot();
+  obs::unregister_app_counters(scrape, &src);
+  const obs::MetricsSnapshot d = obs::metrics_delta(after, before);
+  const auto value_of = [&](const char* name) {
+    for (const obs::AppCounter& ac : d.app)
+      if (ac.name == name) return ac.value;
+    ADD_FAILURE() << "missing app counter " << name;
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(value_of("test_events"), 5u);
+  EXPECT_EQ(value_of("test_level"), 3u);
+}
+
 TEST_F(ObsMetricsTest, CondVarAggregateIncludesDestroyedObjects) {
   const CondVarStats before = tmcv::condvar_stats_aggregate();
   {

@@ -283,6 +283,25 @@ TEST_F(ObsPromTest, WatchdogGaugesConformToGrammar) {
             std::string::npos);
 }
 
+// An app gauge is exposed as a Prometheus gauge, an app counter as a counter.
+TEST_F(ObsPromTest, AppGaugeIsTypedGauge) {
+  std::uint64_t src = 4;
+  const obs::AppCounterFn scrape = [](void* ctx,
+                                      std::vector<obs::AppCounter>& out) {
+    const auto v = *static_cast<const std::uint64_t*>(ctx);
+    out.push_back({"test_events", v});
+    out.push_back({"test_level", v, /*gauge=*/true});
+  };
+  obs::register_app_counters(scrape, &src);
+  const std::string prom = obs::to_prometheus(obs::metrics_snapshot());
+  obs::unregister_app_counters(scrape, &src);
+  EXPECT_NE(prom.find("# TYPE tmcv_app_test_events counter"),
+            std::string::npos);
+  EXPECT_NE(prom.find("# TYPE tmcv_app_test_level gauge"), std::string::npos);
+  EXPECT_NE(prom.find("\ntmcv_app_test_level 4\n"), std::string::npos);
+  EXPECT_TRUE(check_exposition(prom).empty());
+}
+
 // The parser itself must reject malformed exposition, or the grammar test
 // proves nothing.
 TEST_F(ObsPromTest, CheckerRejectsMalformedInput) {

@@ -184,8 +184,8 @@ TEST(Zipf, DrawsStayInRange) {
 }
 
 TEST(Zipf, SkewConcentratesOnHotRanks) {
-  // theta = 0.9 over 64 ranks: ~35% of the mass on the top 4 (the constant
-  // bench/micro_tm.cpp documents).  Check both the analytic CDF and an
+  // theta = 0.9 over 64 ranks: ~35% of the mass on the top 4 (the skew
+  // bench/micro_tm.cpp's contended profile documents at kCwTheta).  Check both the analytic CDF and an
   // empirical sample against a loose band.
   const ZipfDistribution zipf(64, 0.9);
   EXPECT_NEAR(zipf.cumulative(4), 0.35, 0.05);
