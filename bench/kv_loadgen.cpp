@@ -407,8 +407,8 @@ int main(int argc, char** argv) {
               cfg.get_pct);
 
   if (cfg.json_path != nullptr) {
-    // Settle the pump/server, then diff the registry: TM activity and
-    // conflict attribution attributable to this run.
+    // Diff the registry: TM activity and conflict attribution attributable
+    // to this run.
     const tmcv::obs::MetricsSnapshot after = tmcv::obs::metrics_snapshot();
     const tmcv::obs::MetricsSnapshot delta =
         tmcv::obs::metrics_delta(after, before);
@@ -459,29 +459,11 @@ int main(int argc, char** argv) {
                     st.hits, st.misses, st.evictions, st.size);
       json.append(buf);
     }
-    // Top victim x attacker pairs from the attribution profiler (quiescent:
-    // recorded conflicts equal aborts_conflict when nothing was dropped).
-    json.append("  \"conflict_pairs\": [");
-    const auto& pairs = delta.attribution.conflict_pairs;
-    for (std::size_t i = 0; i < pairs.size() && i < 5; ++i) {
-      std::snprintf(buf, sizeof buf,
-                    "%s\n    {\"victim\": \"%s\", \"attacker\": \"%s\", "
-                    "\"count\": %" PRIu64 "}",
-                    i == 0 ? "" : ",",
-                    tmcv::obs::site_name(
-                        tmcv::obs::attr_pair_victim(pairs[i].key)),
-                    tmcv::obs::site_name(
-                        tmcv::obs::attr_pair_attacker(pairs[i].key)),
-                    pairs[i].count);
-      json.append(buf);
-    }
-    json.append(pairs.empty() ? "],\n" : "\n  ],\n");
-    std::snprintf(buf, sizeof buf,
-                  "  \"conflicts_recorded\": %" PRIu64
-                  ",\n  \"attribution_dropped\": %" PRIu64 "\n}\n",
-                  tmcv::obs::attr_conflicts_total(delta.attribution),
-                  delta.attribution.dropped);
-    json.append(buf);
+    // Every attribution entry of the run (quiescent: conflicts_recorded
+    // equals aborts_conflict when nothing was dropped).
+    json.append("  \"attribution\": ");
+    json.append(tmcv::obs::attribution_json(delta.attribution, 0));
+    json.append("\n}\n");
     std::FILE* f = std::fopen(cfg.json_path, "w");
     if (f == nullptr) {
       std::perror("kv_loadgen: fopen");

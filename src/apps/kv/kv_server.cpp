@@ -325,9 +325,8 @@ bool KvServer::start(const KvOptions& options) {
 
   obs::register_app_counters(&Impl::scrape, &im);
   if (options.metrics_port >= 0) {
-    obs::TelemetryOptions topts;
-    topts.port = static_cast<std::uint16_t>(options.metrics_port);
-    if (!im.telemetry.start(topts)) {
+    if (!im.telemetry.start(
+            static_cast<std::uint16_t>(options.metrics_port))) {
       const int saved = errno;
       im.running.store(false, std::memory_order_release);
       obs::unregister_app_counters(&Impl::scrape, &im);

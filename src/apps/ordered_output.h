@@ -1,8 +1,8 @@
 // Ordered (reorder-buffer) output stage: dedup's coordination between its
 // parallel compression workers and the serial output thread (§5.2).  Items
-// carry sequence numbers; each submitter blocks until its number is next,
-// then emits inside a *relaxed* section (an irrevocable transaction under
-// TxnPolicy -- the I/O that produces the paper's §5.4 no-scaling anomaly).
+// carry sequence numbers; the output thread emits them in order inside a
+// *relaxed* section (an irrevocable transaction under TxnPolicy -- the I/O
+// that produces the paper's §5.4 no-scaling anomaly).
 #pragma once
 
 #include <cstdint>
@@ -15,42 +15,11 @@
 
 namespace tmcv::apps {
 
-template <typename Policy>
-class OrderedOutput {
- public:
-  OrderedOutput() = default;
-
-  // Block until sequence number `seq` is next in line, then run `emit`
-  // (the I/O) inside a relaxed critical section and advance the cursor.
-  template <typename Emit>
-  void submit(std::uint64_t seq, Emit&& emit) {
-    Policy::execute_or_wait(region_, turn_cv_,
-                            [&] { return next_.get() == seq; });
-    // Only the owner of `seq` can be here; nobody else advances next_.
-    Policy::relaxed(region_, [&] {
-      emit();
-      next_.set(seq + 1);
-    });
-    // Several successors may be parked with different numbers; wake all so
-    // the right one proceeds (oblivious wake-ups, §3.4).
-    Policy::notify_all(turn_cv_);
-  }
-
-  [[nodiscard]] std::uint64_t next_sequence() {
-    return Policy::critical(region_, [&] { return next_.get(); });
-  }
-
- private:
-  typename Policy::Region region_;
-  typename Policy::CondVar turn_cv_;
-  typename Policy::template Cell<std::uint64_t> next_{};
-};
-
 // Reorder buffer for a *single* serial output thread (dedup's actual output
 // design): out-of-order items are buffered, and each insert flushes the
-// ready prefix in order.  Unlike OrderedOutput, insert never blocks, so the
-// serial consumer can keep draining its input queue -- the blocking lives in
-// the queue, which is where dedup's condition variables are.
+// ready prefix in order.  Insert never blocks, so the serial consumer can
+// keep draining its input queue -- the blocking lives in the queue, which is
+// where dedup's condition variables are.
 template <typename Policy>
 class ReorderBuffer {
  public:

@@ -76,10 +76,11 @@ const char* tmcv_tm_get_backend(void);
  * tmcv_obs is required to use these two; everything above needs only
  * tmcv_core).  Starts a background HTTP/1.0 server bound to 127.0.0.1
  * serving GET /metrics (Prometheus text), /metrics.json, /healthz and
- * /profile (conflict-attribution top-N), snapshotting the metrics registry
- * every few hundred ms.  `port` 0 picks an ephemeral port.  Returns the
- * bound port, or -1 on failure (including: a server already running).
- * tmcv_telemetry_stop is idempotent and joins the server threads. */
+ * /profile (every conflict-attribution entry); the metric routes snapshot
+ * the registry when the request arrives.  `port` 0 picks an ephemeral
+ * port.  Returns the bound port, or -1 on failure (including: a server
+ * already running).  tmcv_telemetry_stop is idempotent and joins the
+ * server thread. */
 int tmcv_telemetry_start(int port);
 void tmcv_telemetry_stop(void);
 

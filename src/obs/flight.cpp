@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "core/c_api.h"
-#include "obs/attribution.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -39,55 +38,6 @@ class CaptureFreeze {
   std::uint32_t saved_;
 };
 
-std::string escaped(const char* s) {
-  std::string out;
-  for (; *s; ++s) {
-    if (*s == '"' || *s == '\\') out.push_back('\\');
-    if (*s == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(*s);
-  }
-  return out;
-}
-
-// The UNSLICED attribution tables.  /metrics exports top-10 slices; a
-// post-mortem needs every pair so `sum(conflict_pairs) == aborts_conflict`
-// is verifiable from the file alone.
-std::string attribution_full_json(const AttributionSnapshot& a) {
-  std::ostringstream os;
-  os << "{\n    \"conflicts_recorded\": " << attr_conflicts_total(a)
-     << ",\n    \"dropped\": " << a.dropped << ",\n    \"abort_sites\": [";
-  bool first = true;
-  for (const AttrEntry& e : a.abort_sites) {
-    os << (first ? "" : ", ") << "\n      {\"site\": \""
-       << escaped(site_name(attr_key_site(e.key))) << "\", \"reason\": \""
-       << attr_reason_name(attr_key_reason(e.key))
-       << "\", \"count\": " << e.count << "}";
-    first = false;
-  }
-  os << (first ? "" : "\n    ") << "],\n    \"conflict_pairs\": [";
-  first = true;
-  for (const AttrEntry& e : a.conflict_pairs) {
-    os << (first ? "" : ", ") << "\n      {\"victim\": \""
-       << escaped(site_name(attr_pair_victim(e.key))) << "\", \"attacker\": \""
-       << escaped(site_name(attr_pair_attacker(e.key)))
-       << "\", \"reason\": \"" << attr_reason_name(attr_key_reason(e.key))
-       << "\", \"count\": " << e.count << "}";
-    first = false;
-  }
-  os << (first ? "" : "\n    ") << "],\n    \"hot_stripes\": [";
-  first = true;
-  for (const AttrEntry& e : a.hot_stripes) {
-    os << (first ? "" : ", ") << "\n      {\"stripe\": "
-       << attr_stripe_index(e.key) << ", \"count\": " << e.count << "}";
-    first = false;
-  }
-  os << (first ? "" : "\n    ") << "]\n  }";
-  return os.str();
-}
-
 }  // namespace
 
 std::string flight_json(const FlightDumpOptions& opts) {
@@ -107,7 +57,7 @@ std::string flight_json(const FlightDumpOptions& opts) {
      << "\", \"uptime_seconds\": " << upbuf << "},\n\"alerts\": "
      << watchdog().alerts_json() << ",\n\"metrics\": " << to_json(snap)
      << ",\n\"history\": " << timeseries().to_json()
-     << ",\n\"attribution_full\": " << attribution_full_json(snap.attribution)
+     << ",\n\"attribution_full\": " << attribution_json(snap.attribution, 0)
      << ",\n\"waitgraph\": " << waitgraph_json()
      << ",\n\"trace\": " << chrome_trace_json() << "\n}\n";
   return os.str();

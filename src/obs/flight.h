@@ -10,8 +10,9 @@
 //    "metrics": {...},         // full registry snapshot (to_json)
 //    "history": {...},         // the recorder's retained window
 //    "attribution_full": {...},// UNSLICED tables: pair counts sum exactly
-//                              // to aborts_conflict (the /metrics exports
-//                              // slice to top-10; a post-mortem must not)
+//                              // to aborts_conflict (metrics.attribution
+//                              // is the top-10 slice; a post-mortem must
+//                              // not be)
 //    "trace": {...}}           // Chrome trace document, loadable as-is
 //
 // "Freeze" means: the runtime capture flags are cleared for the duration of

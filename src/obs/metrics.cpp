@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cinttypes>
@@ -175,8 +176,8 @@ void for_each_hist(const MetricsSnapshot& s,
 // unsliced; totals are always computed over everything).
 constexpr std::size_t kExportTopN = 10;
 
-// Escape a string for both JSON strings and Prometheus label values (the
-// escape sets coincide for the characters site names can contain).
+}  // namespace
+
 std::string escaped(const char* s) {
   std::string out;
   for (; *s; ++s) {
@@ -190,7 +191,40 @@ std::string escaped(const char* s) {
   return out;
 }
 
-}  // namespace
+std::string attribution_json(const AttributionSnapshot& a, std::size_t limit) {
+  const auto shown = [&](const std::vector<AttrEntry>& v) {
+    return limit == 0 ? v.size() : std::min(v.size(), limit);
+  };
+  // One entry per line; `line` opens entry i of a list.
+  const auto line = [](std::size_t i) { return i == 0 ? "\n  " : ",\n  "; };
+  std::ostringstream os;
+  os << "{\"conflicts_recorded\": " << attr_conflicts_total(a)
+     << ", \"dropped\": " << a.dropped << ",\n \"abort_sites\": [";
+  for (std::size_t i = 0; i < shown(a.abort_sites); ++i) {
+    const AttrEntry& e = a.abort_sites[i];
+    os << line(i) << "{\"site\": \""
+       << escaped(site_name(attr_key_site(e.key))) << "\", \"reason\": \""
+       << attr_reason_name(attr_key_reason(e.key))
+       << "\", \"count\": " << e.count << "}";
+  }
+  os << "],\n \"conflict_pairs\": [";
+  for (std::size_t i = 0; i < shown(a.conflict_pairs); ++i) {
+    const AttrEntry& e = a.conflict_pairs[i];
+    os << line(i) << "{\"victim\": \""
+       << escaped(site_name(attr_pair_victim(e.key))) << "\", \"attacker\": \""
+       << escaped(site_name(attr_pair_attacker(e.key)))
+       << "\", \"reason\": \"" << attr_reason_name(attr_key_reason(e.key))
+       << "\", \"count\": " << e.count << "}";
+  }
+  os << "],\n \"hot_stripes\": [";
+  for (std::size_t i = 0; i < shown(a.hot_stripes); ++i) {
+    const AttrEntry& e = a.hot_stripes[i];
+    os << line(i) << "{\"stripe\": " << attr_stripe_index(e.key)
+       << ", \"count\": " << e.count << "}";
+  }
+  os << "]}";
+  return os.str();
+}
 
 std::string to_json(const MetricsSnapshot& s) {
   std::ostringstream os;
@@ -242,42 +276,8 @@ std::string to_json(const MetricsSnapshot& s) {
     os << (first ? "" : ", ") << "\"" << rd.tid << "\": " << rd.dropped;
     first = false;
   }
-  os << "}\n  },\n  \"attribution\": {\n    \"conflicts_recorded\": "
-     << attr_conflicts_total(s.attribution)
-     << ",\n    \"dropped\": " << s.attribution.dropped
-     << ",\n    \"abort_sites\": [";
-  first = true;
-  for (std::size_t i = 0;
-       i < s.attribution.abort_sites.size() && i < kExportTopN; ++i) {
-    const AttrEntry& e = s.attribution.abort_sites[i];
-    os << (first ? "" : ", ") << "\n      {\"site\": \""
-       << escaped(site_name(attr_key_site(e.key))) << "\", \"reason\": \""
-       << attr_reason_name(attr_key_reason(e.key))
-       << "\", \"count\": " << e.count << "}";
-    first = false;
-  }
-  os << (first ? "" : "\n    ") << "],\n    \"conflict_pairs\": [";
-  first = true;
-  for (std::size_t i = 0;
-       i < s.attribution.conflict_pairs.size() && i < kExportTopN; ++i) {
-    const AttrEntry& e = s.attribution.conflict_pairs[i];
-    os << (first ? "" : ", ") << "\n      {\"victim\": \""
-       << escaped(site_name(attr_pair_victim(e.key))) << "\", \"attacker\": \""
-       << escaped(site_name(attr_pair_attacker(e.key)))
-       << "\", \"reason\": \"" << attr_reason_name(attr_key_reason(e.key))
-       << "\", \"count\": " << e.count << "}";
-    first = false;
-  }
-  os << (first ? "" : "\n    ") << "],\n    \"hot_stripes\": [";
-  first = true;
-  for (std::size_t i = 0;
-       i < s.attribution.hot_stripes.size() && i < kExportTopN; ++i) {
-    const AttrEntry& e = s.attribution.hot_stripes[i];
-    os << (first ? "" : ", ") << "\n      {\"stripe\": "
-       << attr_stripe_index(e.key) << ", \"count\": " << e.count << "}";
-    first = false;
-  }
-  os << (first ? "" : "\n    ") << "]\n  },\n  \"app\": {\n";
+  os << "}\n  },\n  \"attribution\": "
+     << attribution_json(s.attribution, kExportTopN) << ",\n  \"app\": {\n";
   first = true;
   for (const AppCounter& ac : s.app) {
     os << (first ? "" : ",\n") << "    \"" << escaped(ac.name.c_str())

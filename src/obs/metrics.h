@@ -13,6 +13,7 @@
 // accumulator.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,7 +41,7 @@ struct RingDrops {
 // The registry's fixed sections cover the runtime; workloads built ON the
 // runtime (the KV server's get/set/hit/miss counters, a future vacation
 // bench) publish theirs by registering a scrape callback.  Each snapshot
-// invokes every registered source, so app counters ride the same pump,
+// invokes every registered source, so app counters ride the same snapshot,
 // delta, JSON, and Prometheus machinery as everything else -- `curl
 // /metrics.json` mid-run shows `kv_get_total` next to `commits`.
 //
@@ -49,8 +50,8 @@ struct RingDrops {
 // that reports a level which can fall (a store's live size) sets `gauge`:
 // a delta then keeps its current value, and Prometheus types it `gauge`.
 // Callbacks must be cheap (relaxed atomic loads) and thread-safe; they run
-// on the telemetry pump thread and on any thread that calls
-// metrics_snapshot().
+// on any thread that calls metrics_snapshot() (a telemetry request, the
+// time-series sampler, an exit dump).
 // ---------------------------------------------------------------------------
 
 struct AppCounter {
@@ -110,6 +111,18 @@ struct MetricsSnapshot {
 // Exporters.
 [[nodiscard]] std::string to_json(const MetricsSnapshot& s);
 [[nodiscard]] std::string to_prometheus(const MetricsSnapshot& s);
+
+// The attribution tables as one JSON object -- conflicts_recorded, dropped,
+// abort_sites, conflict_pairs, hot_stripes -- keeping the first `limit`
+// entries of each list (0 = every entry, so the pair counts sum to
+// conflicts_recorded).  The only attribution JSON writer: to_json (top 10),
+// /profile, the flight dump and kv_loadgen all call it.
+[[nodiscard]] std::string attribution_json(const AttributionSnapshot& a,
+                                           std::size_t limit);
+
+// Escape a string for both JSON strings and Prometheus label values (the
+// escape sets coincide for the characters site names can contain).
+[[nodiscard]] std::string escaped(const char* s);
 
 // Write the snapshot as JSON to `json_path` and as Prometheus text to
 // `json_path` + ".prom".  Returns false (with errno intact) on I/O failure.

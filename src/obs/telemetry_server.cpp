@@ -8,9 +8,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -27,157 +25,67 @@ namespace tmcv::obs {
 
 namespace {
 
-// /profile payload: the attribution section alone, with enough context
-// (aborts_conflict, drop count) to judge completeness at a glance.
+// /profile payload: every attribution entry, led by aborts_conflict so
+// completeness (pair counts sum to it at quiescence) is checkable from one
+// response.  attribution_json's object always opens with '{'.
 std::string profile_json(const MetricsSnapshot& s) {
-  constexpr std::size_t kTopN = 10;
-  std::ostringstream os;
-  os << "{\n  \"aborts_conflict\": " << s.tm.aborts_conflict()
-     << ",\n  \"conflicts_recorded\": " << attr_conflicts_total(s.attribution)
-     << ",\n  \"dropped\": " << s.attribution.dropped
-     << ",\n  \"abort_sites\": [";
-  bool first = true;
-  for (std::size_t i = 0; i < s.attribution.abort_sites.size() && i < kTopN;
-       ++i) {
-    const AttrEntry& e = s.attribution.abort_sites[i];
-    os << (first ? "" : ",") << "\n    {\"site\": \""
-       << site_name(attr_key_site(e.key)) << "\", \"reason\": \""
-       << attr_reason_name(attr_key_reason(e.key))
-       << "\", \"count\": " << e.count << "}";
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "],\n  \"conflict_pairs\": [";
-  first = true;
-  for (std::size_t i = 0;
-       i < s.attribution.conflict_pairs.size() && i < kTopN; ++i) {
-    const AttrEntry& e = s.attribution.conflict_pairs[i];
-    os << (first ? "" : ",") << "\n    {\"victim\": \""
-       << site_name(attr_pair_victim(e.key)) << "\", \"attacker\": \""
-       << site_name(attr_pair_attacker(e.key)) << "\", \"reason\": \""
-       << attr_reason_name(attr_key_reason(e.key))
-       << "\", \"count\": " << e.count << "}";
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "],\n  \"hot_stripes\": [";
-  first = true;
-  for (std::size_t i = 0; i < s.attribution.hot_stripes.size() && i < kTopN;
-       ++i) {
-    const AttrEntry& e = s.attribution.hot_stripes[i];
-    os << (first ? "" : ",") << "\n    {\"stripe\": "
-       << attr_stripe_index(e.key) << ", \"count\": " << e.count << "}";
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "]\n}\n";
-  return os.str();
+  return "{\"aborts_conflict\": " + std::to_string(s.tm.aborts_conflict()) +
+         ",\n " + attribution_json(s.attribution, 0).substr(1) + "\n";
 }
 
 }  // namespace
 
 struct TelemetryServer::Impl {
-  TelemetryOptions opts;
   // Atomic: stop() invalidates the fd concurrently with the accept loop's
   // reads (the exchange also keeps a double-stop from closing twice).
   std::atomic<int> listen_fd{-1};
   std::uint16_t bound_port = 0;
   std::atomic<bool> running{false};
-  std::thread accept_thread;
-  std::thread pump_thread;
-
-  // Pump state: the latest snapshot plus a short ring of per-interval
-  // deltas, all under one mutex (requests are rare; contention is nil).
-  std::mutex mu;
-  std::condition_variable pump_cv;  // wakes the pump early on stop()
-  MetricsSnapshot latest;
-  std::deque<MetricsSnapshot> deltas;  // newest at back
-  std::uint64_t snapshots_taken = 0;
+  // Written by start() before the accept thread exists; read only by it.
   std::chrono::steady_clock::time_point started_at;
+  std::thread accept_thread;
 
-  void pump() {
-    MetricsSnapshot prev = metrics_snapshot();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      latest = prev;
-      snapshots_taken = 1;
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    while (running.load(std::memory_order_acquire)) {
-      pump_cv.wait_for(
-          lock, std::chrono::milliseconds(opts.snapshot_interval_ms),
-          [&] { return !running.load(std::memory_order_acquire); });
-      if (!running.load(std::memory_order_acquire)) break;
-      lock.unlock();
-      MetricsSnapshot now = metrics_snapshot();
-      MetricsSnapshot delta = metrics_delta(now, prev);
-      prev = now;
-      lock.lock();
-      latest = std::move(now);
-      ++snapshots_taken;
-      deltas.push_back(std::move(delta));
-      while (deltas.size() > opts.delta_ring) deltas.pop_front();
-    }
-  }
-
-  std::string healthz_json() {
-    std::lock_guard<std::mutex> lock(mu);
+  std::string healthz_json() const {
     const auto uptime = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - started_at);
-    std::ostringstream os;
-    os << "{\n  \"status\": \"ok\",\n  \"uptime_ms\": " << uptime.count()
-       << ",\n  \"snapshots\": " << snapshots_taken
-       << ",\n  \"snapshot_interval_ms\": " << opts.snapshot_interval_ms;
-    if (!deltas.empty()) {
-      // Activity over the most recent interval: enough to tell a live
-      // workload from a stalled one without parsing the full export.
-      const MetricsSnapshot& d = deltas.back();
-      os << ",\n  \"last_interval\": {\"commits\": " << d.tm.commits
-         << ", \"aborts\": " << d.tm.aborts
-         << ", \"notifies\": "
-         << d.cv.notify_one_calls + d.cv.notify_all_calls
-         << ", \"trace_dropped\": " << d.trace_dropped << "}";
-    }
-    os << "\n}\n";
-    return os.str();
+    return "{\"status\": \"ok\", \"uptime_ms\": " +
+           std::to_string(uptime.count()) + "}\n";
   }
 
   // One row per GET path.  The table generates BOTH the dispatch and the
   // 404 help string, so a route cannot ship without its help text (the
-  // old hand-maintained help line drifted twice).
+  // old hand-maintained help line drifted twice).  The metric routes take
+  // their snapshot here, per request; the others read their own subsystem.
   struct RouteRow {
     const char* path;
     const char* content_type;
-    std::string (*handler)(Impl& im, const MetricsSnapshot& snap);
+    std::string (*handler)(const Impl& im);
   };
 
   static const std::vector<RouteRow>& routes() {
     static const std::vector<RouteRow> r = {
         {"/metrics", "text/plain; version=0.0.4",
-         [](Impl&, const MetricsSnapshot& s) {
+         [](const Impl&) {
            // Watchdog gauges ride the Prometheus export so one scrape
            // target covers counters and alerts.
-           return to_prometheus(s) + watchdog().prometheus();
+           return to_prometheus(metrics_snapshot()) + watchdog().prometheus();
          }},
         {"/metrics.json", "application/json",
-         [](Impl&, const MetricsSnapshot& s) { return to_json(s); }},
+         [](const Impl&) { return to_json(metrics_snapshot()); }},
         {"/healthz", "application/json",
-         [](Impl& im, const MetricsSnapshot&) { return im.healthz_json(); }},
+         [](const Impl& im) { return im.healthz_json(); }},
         {"/profile", "application/json",
-         [](Impl&, const MetricsSnapshot& s) { return profile_json(s); }},
+         [](const Impl&) { return profile_json(metrics_snapshot()); }},
         {"/history", "text/plain; version=0.0.4",
-         [](Impl&, const MetricsSnapshot&) {
-           return timeseries().to_text();
-         }},
+         [](const Impl&) { return timeseries().to_text(); }},
         {"/history.json", "application/json",
-         [](Impl&, const MetricsSnapshot&) {
-           return timeseries().to_json();
-         }},
+         [](const Impl&) { return timeseries().to_json(); }},
         {"/alerts", "application/json",
-         [](Impl&, const MetricsSnapshot&) {
-           return watchdog().alerts_json();
-         }},
+         [](const Impl&) { return watchdog().alerts_json(); }},
         {"/threads", "application/json",
-         [](Impl&, const MetricsSnapshot&) { return threads_json(); }},
+         [](const Impl&) { return threads_json(); }},
         {"/waitgraph", "application/json",
-         [](Impl&, const MetricsSnapshot&) { return waitgraph_json(); }},
+         [](const Impl&) { return waitgraph_json(); }},
     };
     return r;
   }
@@ -222,11 +130,6 @@ struct TelemetryServer::Impl {
       body = "only GET is supported\n";
     } else {
       const std::string path = path_of();
-      MetricsSnapshot snap;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        snap = latest;
-      }
       const RouteRow* hit = nullptr;
       for (const RouteRow& r : routes())
         if (path == r.path) {
@@ -235,7 +138,7 @@ struct TelemetryServer::Impl {
         }
       if (hit != nullptr) {
         content_type = hit->content_type;
-        body = hit->handler(*this, snap);
+        body = hit->handler(*this);
       } else {
         status = "404 Not Found";
         body = route_help();
@@ -275,7 +178,7 @@ TelemetryServer::TelemetryServer() : impl_(std::make_unique<Impl>()) {}
 
 TelemetryServer::~TelemetryServer() { stop(); }
 
-bool TelemetryServer::start(const TelemetryOptions& opts) {
+bool TelemetryServer::start(std::uint16_t port) {
   Impl& im = *impl_;
   if (im.running.load(std::memory_order_acquire)) {
     errno = EALREADY;
@@ -285,18 +188,12 @@ bool TelemetryServer::start(const TelemetryOptions& opts) {
   // kernel-picked free port, errno preserved across cleanup so callers can
   // print WHY the bind failed (EADDRINUSE when the port is taken).
   std::uint16_t bound_port = 0;
-  const int fd = listen_loopback(opts.port, bound_port, 16);
+  const int fd = listen_loopback(port, bound_port, 16);
   if (fd < 0) return false;
-  im.opts = opts;
-  if (im.opts.snapshot_interval_ms == 0) im.opts.snapshot_interval_ms = 1;
-  if (im.opts.delta_ring == 0) im.opts.delta_ring = 1;
   im.listen_fd.store(fd, std::memory_order_release);
   im.bound_port = bound_port;
   im.started_at = std::chrono::steady_clock::now();
-  im.deltas.clear();
-  im.snapshots_taken = 0;
   im.running.store(true, std::memory_order_release);
-  im.pump_thread = std::thread([&im] { im.pump(); });
   im.accept_thread = std::thread([&im] { im.accept_loop(); });
   return true;
 }
@@ -305,15 +202,13 @@ void TelemetryServer::stop() {
   Impl& im = *impl_;
   if (!im.running.exchange(false, std::memory_order_acq_rel)) return;
   // Unblock accept(): shutdown wakes a blocked accept on Linux; the close
-  // finishes the job.  The pump is woken through its condition variable.
+  // finishes the job.
   const int lfd = im.listen_fd.exchange(-1, std::memory_order_acq_rel);
   if (lfd >= 0) {
     ::shutdown(lfd, SHUT_RDWR);
     ::close(lfd);
   }
-  im.pump_cv.notify_all();
   if (im.accept_thread.joinable()) im.accept_thread.join();
-  if (im.pump_thread.joinable()) im.pump_thread.join();
   im.bound_port = 0;
 }
 
@@ -350,9 +245,7 @@ extern "C" int tmcv_telemetry_start(int port) {
     return -1;
   }
   auto* server = new tmcv::obs::TelemetryServer;
-  tmcv::obs::TelemetryOptions opts;
-  opts.port = static_cast<std::uint16_t>(port);
-  if (!server->start(opts)) {
+  if (!server->start(static_cast<std::uint16_t>(port))) {
     const int saved = errno;  // EADDRINUSE when the port is taken
     delete server;
     errno = saved;

@@ -1,16 +1,18 @@
 // Live telemetry endpoint: scrape the metrics registry from a RUNNING
 // process instead of waiting for an exit dump.
 //
-// A background pump thread snapshots the registry every
-// `snapshot_interval_ms` and retains a small ring of deltas (activity per
-// interval); an accept thread serves a minimal blocking HTTP/1.0 loop bound
-// to 127.0.0.1:
+// One accept thread serves a minimal blocking HTTP/1.0 loop bound to
+// 127.0.0.1.  The metric routes take one metrics_snapshot() when the request
+// arrives, so a response is as fresh as the scrape and an unscraped
+// endpoint costs nothing; per-interval activity is the time-series
+// recorder's job (/history).
 //
 //   GET /metrics       Prometheus text exposition (to_prometheus)
 //   GET /metrics.json  full JSON snapshot (to_json)
-//   GET /healthz       liveness + activity over the most recent interval
-//   GET /profile       conflict-attribution top-N (abort sites, conflict
-//                      pairs, hot stripes), JSON
+//   GET /healthz       liveness: {"status", "uptime_ms"}; takes no snapshot
+//   GET /profile       every conflict-attribution entry (abort sites,
+//                      conflict pairs, hot stripes) plus aborts_conflict,
+//                      JSON (attribution_json with no limit)
 //
 // Scope: a debugging/bench endpoint, deliberately minimal -- one request
 // per connection, GET only, no TLS, loopback only.  Production deployments
@@ -29,12 +31,6 @@
 
 namespace tmcv::obs {
 
-struct TelemetryOptions {
-  std::uint16_t port = 0;  // 0 = ephemeral (read the bound port after start)
-  std::uint32_t snapshot_interval_ms = 250;
-  std::uint32_t delta_ring = 16;  // retained per-interval deltas
-};
-
 class TelemetryServer {
  public:
   TelemetryServer();
@@ -43,11 +39,12 @@ class TelemetryServer {
   TelemetryServer(const TelemetryServer&) = delete;
   TelemetryServer& operator=(const TelemetryServer&) = delete;
 
-  // Bind, spawn the pump + accept threads.  Returns false if already
-  // running or the socket could not be bound.
-  bool start(const TelemetryOptions& opts = {});
+  // Bind `port` (0 = ephemeral: read the bound port after start) and spawn
+  // the accept thread.  Returns false if already running or the socket
+  // could not be bound.
+  bool start(std::uint16_t port = 0);
 
-  // Shut the listen socket, join both threads.  Idempotent.
+  // Shut the listen socket, join the accept thread.  Idempotent.
   void stop();
 
   [[nodiscard]] bool running() const noexcept;

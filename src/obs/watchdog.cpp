@@ -25,10 +25,6 @@ std::vector<WatchdogRule> default_rules() {
       // Signal is 0 when the timing layer is off -> never fires.
       {RuleKind::kLatencyP99, /*threshold=*/1e6, /*min_activity=*/16,
        /*consecutive=*/2},
-      // Nearly every slow wait parking means the adaptive spin budget has
-      // collapsed (or the machine is oversubscribed).
-      {RuleKind::kParkImbalance, /*threshold=*/0.95, /*min_activity=*/64,
-       /*consecutive=*/3},
       // Evictions tracking sets 1:2 means the working set blew the cache
       // capacity -- hit rate is about to follow.
       {RuleKind::kEvictionStorm, /*threshold=*/0.5, /*min_activity=*/100,
@@ -68,8 +64,6 @@ Signal signal_of(RuleKind k, const TsSample& s) {
               s.commits + s.aborts};
     case RuleKind::kLatencyP99:
       return {static_cast<double>(s.notify_wake_p99_ns), s.threads_woken};
-    case RuleKind::kParkImbalance:
-      return {s.park_ratio(), s.parks + s.parks_avoided};
     case RuleKind::kEvictionStorm:
       return {s.kv_sets ? static_cast<double>(s.kv_evictions) /
                               static_cast<double>(s.kv_sets)

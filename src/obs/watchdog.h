@@ -2,8 +2,8 @@
 // firing/cleared alerts.
 //
 // Each rule is a threshold over one derived signal of a TsSample (abort
-// storm, serial-escalation rate, notify->wake p99 breach, park imbalance,
-// KV eviction storm).  The watchdog registers itself as the recorder's
+// storm, serial-escalation rate, notify->wake p99 breach, KV eviction
+// storm, stuck thread, wait cycle).  The watchdog registers itself as the recorder's
 // observer, so rules are evaluated once per sampling tick -- no second
 // timer, no extra scrape.  A rule FIRES after `consecutive` breaching
 // samples (debounce: one noisy interval is not an incident) and CLEARS on
@@ -31,7 +31,6 @@ enum class RuleKind : std::uint8_t {
   kAbortStorm = 0,      // aborts/commits ratio over threshold
   kSerialEscalation,    // cm_serial_escalations per second over threshold
   kLatencyP99,          // notify->wake window p99 (ns) over threshold
-  kParkImbalance,       // parks/(parks+parks_avoided) over threshold
   kEvictionStorm,       // kv_evictions/kv_sets over threshold
   kStuckThread,         // oldest stuck waiter age (ms) over threshold
   kWaitCycle,           // threads in waiter->holder cycles over threshold
@@ -46,8 +45,6 @@ enum class RuleKind : std::uint8_t {
       return "serial_escalation";
     case RuleKind::kLatencyP99:
       return "latency_p99";
-    case RuleKind::kParkImbalance:
-      return "park_imbalance";
     case RuleKind::kEvictionStorm:
       return "eviction_storm";
     case RuleKind::kStuckThread:

@@ -45,95 +45,6 @@ class TasLock {
   alignas(kCacheLine) std::atomic<bool> locked_{false};
 };
 
-// FIFO ticket lock.  Fair, but spin-waiting; yields when oversubscribed.
-class TicketLock {
- public:
-  TicketLock() noexcept = default;
-  TicketLock(const TicketLock&) = delete;
-  TicketLock& operator=(const TicketLock&) = delete;
-
-  void lock() noexcept {
-    const std::uint32_t ticket =
-        next_.fetch_add(1, std::memory_order_relaxed);
-    Backoff backoff;
-    while (serving_.load(std::memory_order_acquire) != ticket)
-      backoff.wait();
-  }
-
-  [[nodiscard]] bool try_lock() noexcept {
-    std::uint32_t serving = serving_.load(std::memory_order_acquire);
-    std::uint32_t expected = serving;
-    return next_.compare_exchange_strong(expected, serving + 1,
-                                         std::memory_order_acquire,
-                                         std::memory_order_relaxed);
-  }
-
-  void unlock() noexcept {
-    serving_.fetch_add(1, std::memory_order_release);
-  }
-
- private:
-  alignas(kCacheLine) std::atomic<std::uint32_t> next_{0};
-  alignas(kCacheLine) std::atomic<std::uint32_t> serving_{0};
-};
-
-// MCS queue lock: each waiter spins on its own cache line.  Uses the
-// scoped-node interface because MCS fundamentally needs a per-acquisition
-// queue node.
-class McsLock {
- public:
-  struct Node {
-    std::atomic<Node*> next{nullptr};
-    std::atomic<bool> locked{false};
-  };
-
-  McsLock() noexcept = default;
-  McsLock(const McsLock&) = delete;
-  McsLock& operator=(const McsLock&) = delete;
-
-  void lock(Node& node) noexcept {
-    node.next.store(nullptr, std::memory_order_relaxed);
-    node.locked.store(true, std::memory_order_relaxed);
-    Node* prev = tail_.exchange(&node, std::memory_order_acq_rel);
-    if (prev != nullptr) {
-      prev->next.store(&node, std::memory_order_release);
-      Backoff backoff;
-      while (node.locked.load(std::memory_order_acquire)) backoff.wait();
-    }
-  }
-
-  void unlock(Node& node) noexcept {
-    Node* succ = node.next.load(std::memory_order_acquire);
-    if (succ == nullptr) {
-      Node* expected = &node;
-      if (tail_.compare_exchange_strong(expected, nullptr,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed))
-        return;
-      Backoff backoff;
-      while ((succ = node.next.load(std::memory_order_acquire)) == nullptr)
-        backoff.wait();
-    }
-    succ->locked.store(false, std::memory_order_release);
-  }
-
-  // RAII adapter so McsLock composes with scoped usage.
-  class Guard {
-   public:
-    explicit Guard(McsLock& lock) noexcept : lock_(lock) { lock_.lock(node_); }
-    ~Guard() { lock_.unlock(node_); }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-
-   private:
-    McsLock& lock_;
-    Node node_;
-  };
-
- private:
-  alignas(kCacheLine) std::atomic<Node*> tail_{nullptr};
-};
-
 // Futex-based blocking mutex (the classic three-state algorithm:
 // 0 = unlocked, 1 = locked/no waiters, 2 = locked/maybe waiters).  This is
 // our stand-in for a pthread mutex with full kernel-sleep semantics.

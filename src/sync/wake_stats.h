@@ -59,9 +59,4 @@ inline WakeStats& wake_counters() noexcept {
   return counters::load(detail::wake_counters());
 }
 
-// Benchmark support: zero the counters between phases (call at quiescence).
-inline void wake_stats_reset() noexcept {
-  counters::reset(detail::wake_counters());
-}
-
 }  // namespace tmcv

@@ -148,7 +148,6 @@ class TxDescriptor {
   // itself, it marks the split done; commit_top then becomes a no-op once.
   void mark_split_done() noexcept { split_done_ = true; }
   [[nodiscard]] bool split_done() const noexcept { return split_done_; }
-  void clear_split_done() noexcept { split_done_ = false; }
 
   // ---- data access ----
 

@@ -1,10 +1,8 @@
-// Transactional counters: plain and striped.
+// Transactional striped counter.
 //
-// TxCounter is one tm::var cell -- every add is a read-modify-write of the
-// same word, so under concurrency the cell is a single hot stripe and the
-// abort rate grows with the thread count.  That is sometimes exactly what
-// you want (a serializability canary; an exact sequence number), and it is
-// the classic STM scaling cliff when you don't.
+// A single tm::var cell makes every add a read-modify-write of the same
+// word: under concurrency it is one hot stripe and the abort rate grows
+// with the thread count -- the classic STM scaling cliff.
 //
 // TxStripedCounter spreads the hot word across kStripes cache-line-spaced
 // cells: add() picks the calling thread's home stripe (a thread_local
@@ -16,7 +14,7 @@
 // value() carries a kStripes-word read set and conflicts with every
 // concurrent add, so poll totals sparingly (or from one thread).
 //
-// Both compose: bump a counter inside any enclosing transaction and the
+// It composes: bump the counter inside any enclosing transaction and the
 // increment commits or rolls back with it (exact-stats idiom of
 // tmds::TxLruMap, reusable standalone).
 #pragma once
@@ -30,33 +28,6 @@
 #include "tm/var.h"
 
 namespace tmcv::tmds {
-
-// Single-cell exact counter.
-class TxCounter {
- public:
-  TxCounter() = default;
-  explicit TxCounter(std::int64_t initial) : cell_(initial) {}
-
-  TxCounter(const TxCounter&) = delete;
-  TxCounter& operator=(const TxCounter&) = delete;
-
-  void add(std::int64_t delta) {
-    tm::atomically([&] {
-      TMCV_TXN_SITE("counter.add");
-      cell_.store(cell_.load() + delta);
-    });
-  }
-
-  void increment() { add(1); }
-  void decrement() { add(-1); }
-
-  [[nodiscard]] std::int64_t value() const {
-    return tm::atomically([&] { return cell_.load(); });
-  }
-
- private:
-  tm::var<std::int64_t> cell_{0};
-};
 
 // Striped exact counter.  kStripes is a power of two; each stripe is a
 // cache-line-aligned tm::var so false sharing never re-couples what the

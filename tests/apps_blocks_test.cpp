@@ -1,5 +1,5 @@
-// Barrier, task-queue set, thread pool, pipeline, ordered output and work
-// distributor across all three sync policies.
+// Barrier, task-queue set, pipeline, reorder buffer and work distributor
+// across all three sync policies.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,6 @@
 #include "apps/pipeline.h"
 #include "apps/sync_policy.h"
 #include "apps/task_queue.h"
-#include "apps/thread_pool.h"
 #include "apps/work_distributor.h"
 
 namespace tmcv::apps {
@@ -123,36 +122,6 @@ TYPED_TEST(BlocksTest, TaskQueueSetStealsFromLoadedQueue) {
   EXPECT_EQ(total, kTasks);
 }
 
-TYPED_TEST(BlocksTest, ThreadPoolExecutesAllJobs) {
-  std::atomic<std::uint64_t> sum{0};
-  {
-    ThreadPool<TypeParam> pool(3, 16,
-                               [&](std::uint64_t job) { sum.fetch_add(job); });
-    for (std::uint64_t j = 1; j <= 200; ++j) ASSERT_TRUE(pool.submit(j));
-    pool.wait_idle();
-    EXPECT_EQ(sum.load(), 200u * 201u / 2u);
-  }  // destructor shuts down cleanly
-}
-
-TYPED_TEST(BlocksTest, ThreadPoolWaitIdleBlocksUntilDone) {
-  std::atomic<int> running{0};
-  std::atomic<int> max_running{0};
-  ThreadPool<TypeParam> pool(2, 8, [&](std::uint64_t) {
-    const int r = running.fetch_add(1) + 1;
-    int m = max_running.load();
-    while (r > m && !max_running.compare_exchange_weak(m, r)) {
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    running.fetch_sub(1);
-  });
-  for (int j = 0; j < 20; ++j) ASSERT_TRUE(pool.submit(j));
-  pool.wait_idle();
-  EXPECT_EQ(running.load(), 0);
-  EXPECT_LE(max_running.load(), 2);
-  pool.shutdown();
-  EXPECT_FALSE(pool.submit(1));  // after shutdown
-}
-
 TYPED_TEST(BlocksTest, PipelinePreservesEveryItem) {
   std::atomic<std::uint64_t> sink_sum{0};
   std::atomic<int> sink_count{0};
@@ -176,29 +145,6 @@ TYPED_TEST(BlocksTest, PipelinePreservesEveryItem) {
     for (int i = 0; i < kItems; ++i) expected += i + 4;
     EXPECT_EQ(sink_sum.load(), expected);
   }
-}
-
-TYPED_TEST(BlocksTest, OrderedOutputEmitsInSequence) {
-  OrderedOutput<TypeParam> out;
-  std::vector<std::uint64_t> emitted;
-  std::mutex emitted_m;
-  constexpr std::uint64_t kItems = 60;
-  std::vector<std::thread> submitters;
-  // Submit out of order from several threads.
-  for (int t = 0; t < 4; ++t) {
-    submitters.emplace_back([&, t] {
-      for (std::uint64_t seq = t; seq < kItems; seq += 4) {
-        out.submit(seq, [&, seq] {
-          std::lock_guard<std::mutex> g(emitted_m);
-          emitted.push_back(seq);
-        });
-      }
-    });
-  }
-  for (auto& s : submitters) s.join();
-  ASSERT_EQ(emitted.size(), kItems);
-  for (std::uint64_t i = 0; i < kItems; ++i) EXPECT_EQ(emitted[i], i);
-  EXPECT_EQ(out.next_sequence(), kItems);
 }
 
 TYPED_TEST(BlocksTest, LatchReleasesAtTarget) {

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -276,27 +275,20 @@ TEST(KvServerTest, MetricsEndpointExportsAppCounters) {
     ASSERT_TRUE(client.ok());
     client.roundtrip("set a 1\nget a\n", 2);
   }
-  // Raw HTTP GET against the embedded telemetry endpoint; the snapshot pump
-  // may not have ticked yet, so scrape the JSON exporter directly through
-  // a fresh snapshot request until the counters appear.
+  // Raw HTTP GET against the embedded telemetry endpoint: the route
+  // snapshots on arrival, so the first response carries the counters.
+  const int fd = connect_loopback(server.metrics_port());
+  ASSERT_GE(fd, 0);
+  const char req[] = "GET /metrics.json HTTP/1.0\r\n\r\n";
+  ASSERT_TRUE(send_all(fd, req, sizeof req - 1));
   std::string body;
-  for (int attempt = 0; attempt < 50 && body.find("\"kv_get\": 1") ==
-                                            std::string::npos;
-       ++attempt) {
-    const int fd = connect_loopback(server.metrics_port());
-    ASSERT_GE(fd, 0);
-    const char req[] = "GET /metrics.json HTTP/1.0\r\n\r\n";
-    ASSERT_TRUE(send_all(fd, req, sizeof req - 1));
-    body.clear();
-    char buf[4096];
-    for (;;) {
-      const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-      if (n <= 0) break;
-      body.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    body.append(buf, static_cast<std::size_t>(n));
   }
+  ::close(fd);
   EXPECT_NE(body.find("\"app\""), std::string::npos);
   EXPECT_NE(body.find("\"kv_get\": 1"), std::string::npos);
   EXPECT_NE(body.find("\"kv_set\": 1"), std::string::npos);

@@ -279,7 +279,7 @@ TEST_F(ObsPromTest, WatchdogGaugesConformToGrammar) {
   for (const std::string& e : errors) joined += e + "\n";
   EXPECT_TRUE(errors.empty()) << joined;
   EXPECT_NE(prom.find("# TYPE tmcv_alerts_firing gauge"), std::string::npos);
-  EXPECT_NE(prom.find("tmcv_alerts_firing{rule=\"park_imbalance\"} 0"),
+  EXPECT_NE(prom.find("tmcv_alerts_firing{rule=\"eviction_storm\"} 0"),
             std::string::npos);
 }
 

@@ -130,12 +130,11 @@ TEST(ObsWatchdogTest, IdleIntervalsGiveNoVerdict) {
 
 TEST(ObsWatchdogTest, EveryRuleKindReadsItsSignal) {
   // One rule per kind, thresholds low enough that the crafted sample
-  // breaches all five at once; consecutive=1 so a single sample fires.
+  // breaches all four at once; consecutive=1 so a single sample fires.
   std::vector<obs::WatchdogRule> rules = {
       {obs::RuleKind::kAbortStorm, 0.5, 1, 1},
       {obs::RuleKind::kSerialEscalation, 10.0, 1, 1},
       {obs::RuleKind::kLatencyP99, 1e6, 1, 1},
-      {obs::RuleKind::kParkImbalance, 0.9, 1, 1},
       {obs::RuleKind::kEvictionStorm, 0.5, 1, 1},
   };
   obs::Watchdog wd;
@@ -149,8 +148,6 @@ TEST(ObsWatchdogTest, EveryRuleKindReadsItsSignal) {
   s.cm_serial_escalations = 50;   // 50/s > 10/s
   s.notify_wake_p99_ns = 2000000; // 2 ms > 1 ms
   s.threads_woken = 10;
-  s.parks = 99;
-  s.parks_avoided = 1;            // park ratio 0.99 > 0.9
   s.kv_sets = 100;
   s.kv_evictions = 80;            // 0.8 > 0.5
   wd.evaluate(s);
@@ -158,14 +155,13 @@ TEST(ObsWatchdogTest, EveryRuleKindReadsItsSignal) {
   for (const obs::AlertState& st : wd.alerts())
     EXPECT_TRUE(st.firing) << obs::rule_kind_name(st.rule.kind);
 
-  // A healthy sample clears all five.
+  // A healthy sample clears all four.
   obs::TsSample ok;
   ok.t_ms = 2000;
   ok.interval_ms = 1000;
   ok.commits = 1000;
   ok.aborts = 1;
   ok.threads_woken = 10;
-  ok.parks_avoided = 10;
   ok.kv_sets = 100;
   wd.evaluate(ok);
   for (const obs::AlertState& st : wd.alerts())

@@ -36,27 +36,7 @@ void expect_mutual_exclusion() {
 }
 
 TEST(TasLock, MutualExclusion) { expect_mutual_exclusion<TasLock>(); }
-TEST(TicketLock, MutualExclusion) { expect_mutual_exclusion<TicketLock>(); }
 TEST(FutexLock, MutualExclusion) { expect_mutual_exclusion<FutexLock>(); }
-
-TEST(McsLock, MutualExclusion) {
-  constexpr int kThreads = 4;
-  constexpr int kIters = 20000;
-  McsLock lock;
-  long counter = 0;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        McsLock::Guard guard(lock);
-        counter = counter + 1;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(counter, static_cast<long>(kThreads) * kIters);
-}
 
 TEST(TasLock, TryLockSemantics) {
   TasLock lock;
@@ -73,13 +53,6 @@ TEST(FutexLock, TryLockSemantics) {
   EXPECT_FALSE(lock.try_lock());
   lock.unlock();
   EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
-}
-
-TEST(TicketLock, TryLockSemantics) {
-  TicketLock lock;
-  EXPECT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock());
   lock.unlock();
 }
 

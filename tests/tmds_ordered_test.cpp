@@ -1,4 +1,4 @@
-// Ordered tmds family (skiplist / BST / sorted list / counters):
+// Ordered tmds family (skiplist / BST / striped counter):
 // sequential semantics against a std::map oracle, multi-thread
 // conservation, range-scan snapshot consistency under concurrent writers,
 // abort rollback of structural links, and counter exactness -- all run
@@ -17,7 +17,6 @@
 #include "tm/epoch.h"
 #include "tmds/tx_bst.h"
 #include "tmds/tx_counter.h"
-#include "tmds/tx_list.h"
 #include "tmds/tx_skiplist.h"
 #include "util/rng.h"
 
@@ -135,10 +134,6 @@ TEST_P(OrderedBackends, BstMatchesMapOracle) {
   oracle_mixed_ops<TxBst<Key, Val>>();
 }
 
-TEST_P(OrderedBackends, SortedListMatchesMapOracle) {
-  oracle_mixed_ops<TxSortedList<Key, Val>>();
-}
-
 // ---- lower_bound / range edges ----
 
 template <typename S>
@@ -178,10 +173,6 @@ TEST_P(OrderedBackends, BstLowerBoundAndRangeEdges) {
   lower_bound_edges<TxBst<Key, Val>>();
 }
 
-TEST_P(OrderedBackends, SortedListLowerBoundAndRangeEdges) {
-  lower_bound_edges<TxSortedList<Key, Val>>();
-}
-
 // ---- abort rollback of structural links ----
 
 template <typename S>
@@ -214,10 +205,6 @@ TEST_P(OrderedBackends, SkipListAbortRollsBackLinks) {
 
 TEST_P(OrderedBackends, BstAbortRollsBackLinks) {
   abort_rolls_back_structure<TxBst<Key, Val>>();
-}
-
-TEST_P(OrderedBackends, SortedListAbortRollsBackLinks) {
-  abort_rolls_back_structure<TxSortedList<Key, Val>>();
 }
 
 // ---- multi-thread conservation ----
@@ -262,10 +249,6 @@ TEST_P(OrderedBackends, SkipListConcurrentConservation) {
 
 TEST_P(OrderedBackends, BstConcurrentConservation) {
   concurrent_conservation<TxBst<Key, Val>>();
-}
-
-TEST_P(OrderedBackends, SortedListConcurrentConservation) {
-  concurrent_conservation<TxSortedList<Key, Val>>();
 }
 
 // ---- range-scan consistency under concurrent writers ----
@@ -338,10 +321,6 @@ TEST_P(OrderedBackends, SkipListRangeScanConsistentUnderWriters) {
 
 TEST_P(OrderedBackends, BstRangeScanConsistentUnderWriters) {
   range_scan_snapshot_consistency<TxBst<Key, Val>>();
-}
-
-TEST_P(OrderedBackends, SortedListRangeScanConsistentUnderWriters) {
-  range_scan_snapshot_consistency<TxSortedList<Key, Val>>();
 }
 
 // ---- cross-structure composition ----
@@ -417,20 +396,6 @@ TEST_P(OrderedBackends, SkipListEraseReinsertIsShapeStable) {
 
 // ---- counters ----
 
-TEST_P(OrderedBackends, PlainCounterExactUnderConcurrency) {
-  TxCounter c;
-  constexpr int kThreads = 4;
-  constexpr int kAdds = 500;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kAdds; ++i) c.increment();
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(c.value(), kThreads * kAdds);
-}
-
 TEST_P(OrderedBackends, StripedCounterExactUnderConcurrency) {
   TxStripedCounter<8> c;
   constexpr int kThreads = 4;
@@ -447,19 +412,15 @@ TEST_P(OrderedBackends, StripedCounterExactUnderConcurrency) {
 }
 
 TEST_P(OrderedBackends, CounterRollsBackWithEnclosingTransaction) {
-  TxCounter c;
   TxStripedCounter<4> sc;
-  c.add(5);
   sc.add(5);
   try {
     tm::atomically([&] {
-      c.add(100);
       sc.add(100);
       throw std::runtime_error("abort");
     });
   } catch (const std::runtime_error&) {
   }
-  EXPECT_EQ(c.value(), 5);
   EXPECT_EQ(sc.value(), 5);
 }
 
