@@ -25,6 +25,7 @@ struct Row {
 
 Row run(const parsec::KernelInfo& kernel, tm::Backend backend,
         std::uint32_t chaos_per_million) {
+  const tm::Backend prior = tm::default_backend();
   tm::set_default_backend(backend);
   tm::TxDescriptor::set_htm_chaos_per_million(chaos_per_million);
   tm::stats_reset();
@@ -34,7 +35,7 @@ Row run(const parsec::KernelInfo& kernel, tm::Backend backend,
   const auto times =
       run_trials(2, [&] { return kernel.run(parsec::System::Tm, cfg).seconds; });
   tm::TxDescriptor::set_htm_chaos_per_million(0);
-  tm::set_default_backend(tm::Backend::EagerSTM);
+  tm::set_default_backend(prior);
   const auto s = tm::stats_snapshot();
   return Row{summarize(times).mean, s.htm_chaos_aborts, s.serial_fallbacks};
 }

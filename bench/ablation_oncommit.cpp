@@ -22,6 +22,7 @@ namespace {
 using namespace tmcv;
 
 double run(tm::Backend backend, bool deferred, int tokens) {
+  const tm::Backend prior = tm::default_backend();
   tm::set_default_backend(backend);
   CondVar cv;
   tm::var<int> available(0);
@@ -67,7 +68,7 @@ double run(tm::Backend backend, bool deferred, int tokens) {
   }
   const double seconds = sw.elapsed_seconds();
   consumer.join();
-  tm::set_default_backend(tm::Backend::EagerSTM);
+  tm::set_default_backend(prior);
   return seconds;
 }
 

@@ -17,6 +17,7 @@ using namespace tmcv::bench;
 
 void run_panel(const char* panel, tm::Backend backend, bool haswell,
                const FigureOptions& opt) {
+  const tm::Backend prior = tm::default_backend();
   tm::set_default_backend(backend);
   std::printf("\n== Figure 3(%s): speedup vs Parsec+pthreadCondVar ==\n",
               panel);
@@ -53,7 +54,7 @@ void run_panel(const char* panel, tm::Backend backend, bool haswell,
               geomean(tmcv_speedups), geomean(tm_speedups));
   std::printf("CSV,Figure3-%s,GEOMEAN,0,%.4f,%.4f\n", panel,
               geomean(tmcv_speedups), geomean(tm_speedups));
-  tm::set_default_backend(tm::Backend::EagerSTM);
+  tm::set_default_backend(prior);
 }
 
 }  // namespace

@@ -97,6 +97,7 @@ inline void print_panel(const std::string& figure, const std::string& kernel,
 // Run one whole figure (all kernels, all systems) under a TM backend.
 inline void run_figure(const std::string& figure_name, tm::Backend backend,
                        bool haswell_threads, const FigureOptions& opt) {
+  const tm::Backend prior = tm::default_backend();
   tm::set_default_backend(backend);
   std::printf("%s -- internal TM backend: %s, trials=%d, scale=%.2f\n",
               figure_name.c_str(), tm::to_string(backend), opt.trials,
@@ -110,7 +111,7 @@ inline void run_figure(const std::string& figure_name, tm::Backend backend,
       series.push_back(run_series(kernel, sys, threads, opt));
     print_panel(figure_name, kernel.name, threads, series);
   }
-  tm::set_default_backend(tm::Backend::EagerSTM);
+  tm::set_default_backend(prior);
 }
 
 }  // namespace tmcv::bench

@@ -44,7 +44,6 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
-#include "tm/algs/adaptive.h"
 #include "tm/api.h"
 #include "tm/descriptor.h"
 #include "tm/var.h"
@@ -77,7 +76,7 @@ struct Config {
   const char* watchdog_dump = nullptr;  // flight dump path on alert fire
   double watchdog_abort_ratio = -1.0;   // override abort-storm threshold
   long storm_ms = 0;              // injected abort storm duration; 0: off
-  const char* backend = nullptr;  // --backend=NAME (auto: adaptive controller)
+  const char* backend = nullptr;  // --backend=NAME
 };
 
 struct ClientResult {
@@ -267,7 +266,7 @@ int parse_args(int argc, char** argv, Config& cfg) {
           "          [--serve-metrics[=PORT]] [--hold-ms=N]\n"
           "          [--history[=MS]] [--watchdog[=DUMP.json]]\n"
           "          [--watchdog-abort-ratio=F] [--storm-ms=N]\n"
-          "          [--backend=eager|lazy|htm|hybrid|norec|auto]\n",
+          "          [--backend=eager|lazy|htm|hybrid|norec]\n",
           argv[0]);
       return 2;
     }
@@ -314,17 +313,13 @@ int main(int argc, char** argv) {
   }
 
   if (cfg.backend != nullptr) {
-    if (std::strcmp(cfg.backend, "auto") == 0) {
-      tmcv::tm::set_backend_auto(true);
-    } else {
-      tmcv::tm::Backend b{};
-      if (!tmcv::tm::backend_from_label(cfg.backend, b)) {
-        std::fprintf(stderr, "kv_loadgen: unknown --backend '%s'\n",
-                     cfg.backend);
-        return 2;
-      }
-      tmcv::tm::set_backend(b);
+    tmcv::tm::Backend b{};
+    if (!tmcv::tm::backend_from_label(cfg.backend, b)) {
+      std::fprintf(stderr, "kv_loadgen: unknown --backend '%s'\n",
+                   cfg.backend);
+      return 2;
     }
+    tmcv::tm::set_default_backend(b);
   }
 
   const bool embedded = cfg.connect_port < 0;
@@ -480,6 +475,5 @@ int main(int argc, char** argv) {
   if (embedded) server.stop();
   if (cfg.watchdog) tmcv::obs::watchdog().stop();
   if (cfg.history_ms > 0) tmcv::obs::timeseries().stop();
-  tmcv::tm::set_backend_auto(false);  // join the controller if --backend=auto
   return 0;
 }

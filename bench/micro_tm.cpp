@@ -26,7 +26,6 @@
 
 #include "core/c_api.h"
 #include "obs/attribution.h"
-#include "tm/algs/adaptive.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -39,14 +38,6 @@
 namespace {
 
 using namespace tmcv::tm;
-
-// --backend=NAME from the command line: the JSON header reports the chosen
-// label.
-struct BackendChoice {
-  bool set = false;
-  const char* label = nullptr;
-};
-BackendChoice g_backend_choice;
 
 // BENCH_foo.json -> BENCH_foo.metrics.json (registry snapshot sibling).
 std::string metrics_path_for(const char* out_path) {
@@ -259,8 +250,11 @@ int run_json_contended_mode(const char* out_path) {
                "  \"aborts_explicit\": %llu,\n"
                "  \"aborts_retry_wait\": %llu\n"
                "}\n",
-               g_backend_choice.set ? g_backend_choice.label
-                                    : "LazySTM+Hybrid",
+               // The profile pins LazySTM and Hybrid; only a NOrec default
+               // reroutes them (resolve_backend).
+               resolve_backend(Backend::LazySTM) == Backend::NOrec
+                   ? "norec"
+                   : "LazySTM+Hybrid",
                tmcv_get_spin_budget(), kThreads, kTxnsPerThread, kCwWrites,
                kCwReads, kCwHeavyEvery, kCwHeavyWrites, kCwVars, kCwTheta,
                kReps, best,
@@ -309,9 +303,8 @@ int main(int argc, char** argv) {
   //   --history[=MS]          time-series recorder at MS ms cadence (1000)
   //   --watchdog              SLO watchdog on default rules (implies
   //                           --history; enables timing + attribution)
-  //   --backend=NAME          eager|lazy|htm|hybrid|norec pins the process
-  //                           default (quiesced switch); `auto` runs the
-  //                           adaptive controller for the whole run
+  //   --backend=NAME          eager|lazy|htm|hybrid|norec sets the process
+  //                           default (tm::set_default_backend)
   bool serve = false;
   int serve_port = 0;
   long hold_ms = 0;
@@ -352,21 +345,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (backend_arg != nullptr) {
-    if (std::strcmp(backend_arg, "auto") == 0) {
-      set_backend_auto(true);
-      g_backend_choice = {true, "auto"};
-    } else {
-      Backend b{};
-      if (!backend_from_label(backend_arg, b)) {
-        std::fprintf(stderr,
-                     "micro_tm: unknown --backend '%s' (want "
-                     "eager|lazy|htm|hybrid|norec|auto)\n",
-                     backend_arg);
-        return 1;
-      }
-      set_backend(b);
-      g_backend_choice = {true, backend_label(b)};
+    Backend b{};
+    if (!backend_from_label(backend_arg, b)) {
+      std::fprintf(stderr,
+                   "micro_tm: unknown --backend '%s' (want "
+                   "eager|lazy|htm|hybrid|norec)\n",
+                   backend_arg);
+      return 1;
     }
+    set_default_backend(b);
   }
   if (serve) {
     tmcv::obs::set_attribution_enabled(true);
@@ -401,6 +388,5 @@ int main(int argc, char** argv) {
   }
   if (watchdog_on) tmcv::obs::watchdog().stop();
   if (history_ms > 0) tmcv::obs::timeseries().stop();
-  set_backend_auto(false);  // join the controller if --backend=auto ran
   return rc;
 }

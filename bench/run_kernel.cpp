@@ -2,7 +2,7 @@
 // backend, threads) cell of the evaluation grid, with TM statistics.
 //
 //   run_kernel <kernel> [--system pthread|tmcv|tm] [--threads N]
-//              [--backend eager|lazy|htm|hybrid|norec|auto] [--scale X]
+//              [--backend eager|lazy|htm|hybrid|norec] [--scale X]
 //              [--trials N]
 //              [--trace out.json] [--metrics out.json]
 //              [--serve-metrics PORT] [--hold-ms N]
@@ -24,7 +24,6 @@
 #include "core/c_api.h"
 #include "obs/trace.h"
 #include "parsec/runner.h"
-#include "tm/algs/adaptive.h"
 #include "tm/api.h"
 #include "util/stats.h"
 
@@ -35,7 +34,7 @@ using namespace tmcv;
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <kernel> [--system pthread|tmcv|tm] [--threads N]\n"
-               "          [--backend eager|lazy|htm|hybrid|norec|auto] [--scale X]\n"
+               "          [--backend eager|lazy|htm|hybrid|norec] [--scale X]\n"
                "          [--trials N] [--trace out.json] [--metrics out.json]\n"
                "          [--serve-metrics PORT] [--hold-ms N]\n"
                "       %s --list\n",
@@ -64,8 +63,7 @@ int main(int argc, char** argv) {
   }
 
   parsec::System system = parsec::System::Pthread;
-  tm::Backend backend = tm::Backend::EagerSTM;
-  bool backend_auto = false;
+  tm::Backend backend = tm::default_backend();
   parsec::KernelConfig cfg;
   parsec::ObsOutputs obs_out;
   int trials = 3;
@@ -88,11 +86,7 @@ int main(int argc, char** argv) {
       else
         return usage(argv[0]);
     } else if (arg == "--backend") {
-      const std::string v = next();
-      if (v == "auto")
-        backend_auto = true;
-      else if (!tm::backend_from_label(v.c_str(), backend))
-        return usage(argv[0]);
+      if (!tm::backend_from_label(next(), backend)) return usage(argv[0]);
     } else if (arg == "--threads") {
       cfg.threads = std::atoi(next());
     } else if (arg == "--scale") {
@@ -114,7 +108,6 @@ int main(int argc, char** argv) {
   }
 
   tm::set_default_backend(backend);
-  if (backend_auto) tm::set_backend_auto(true);
   tm::stats_reset();
   obs_out.enable();
   if (serve) {
@@ -156,7 +149,5 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(hold_ms));
     tmcv_telemetry_stop();
   }
-  tm::set_backend_auto(false);
-  tm::set_default_backend(tm::Backend::EagerSTM);
   return 0;
 }

@@ -51,7 +51,6 @@
 #include "core/c_api.h"
 #include "obs/attribution.h"
 #include "obs/metrics.h"
-#include "tm/algs/adaptive.h"
 #include "tm/api.h"
 #include "tmds/tx_bst.h"
 #include "tmds/tx_counter.h"
@@ -116,7 +115,7 @@ struct Mix {
 // transaction queries a handful of resources, finds them full (or already
 // held), and commits read-only; bookings trickle in as cancellations free
 // seats.  That read-mostly regime is where value-based validation (NOrec)
-// is competitive and where the adaptive controller's low-abort vote points.
+// is competitive.
 // High contention is "-n4 -q60 -u90" on a small, mostly-empty table: nearly
 // every transaction books (write-heavy), the hot prefix stays warm, and
 // encounter-time locking (eager) wins.
@@ -313,9 +312,8 @@ bool audit(World& w) {
 std::atomic<bool> g_audit_ok{true};
 
 // One timed rep on a freshly populated world (construction and audit are
-// outside the timer).  Transactions re-read the process default backend via
-// plain atomically(), so the adaptive controller's switches take effect
-// mid-rep.
+// outside the timer).  Transactions run on the process default backend via
+// plain atomically().
 double run_mix_once(const Mix& mix, int threads, int txns_per_thread,
                     Tally* tally) {
   World w(mix);
@@ -359,12 +357,6 @@ double run_mix_once(const Mix& mix, int threads, int txns_per_thread,
 // ---------------------------------------------------------------------------
 // Modes
 // ---------------------------------------------------------------------------
-
-struct BackendChoice {
-  bool set = false;
-  const char* label = nullptr;
-};
-BackendChoice g_backend_choice;
 
 // BENCH_foo.json -> BENCH_foo.metrics.json (registry snapshot sibling).
 std::string metrics_path_for(const char* out_path) {
@@ -458,7 +450,7 @@ int run_json_mode(const char* out_path, int threads, int txns_override) {
                "  \"backend\": \"%s\",\n"
                "  \"spin_budget\": %u,\n"
                "  \"threads\": %d,\n",
-               g_backend_choice.set ? g_backend_choice.label : "EagerSTM",
+               backend_label(default_backend()),
                tmcv_get_spin_budget(), threads);
   std::fprintf(f, "  \"mixes\": {\n");
   fprint_mix(f, low, false);
@@ -560,21 +552,15 @@ int main(int argc, char** argv) {
     }
   }
   if (backend_arg != nullptr) {
-    if (std::strcmp(backend_arg, "auto") == 0) {
-      set_backend_auto(true);
-      g_backend_choice = {true, "auto"};
-    } else {
-      Backend b{};
-      if (!backend_from_label(backend_arg, b)) {
-        std::fprintf(stderr,
-                     "vacation: unknown --backend '%s' (want "
-                     "eager|lazy|htm|hybrid|norec|auto)\n",
-                     backend_arg);
-        return 1;
-      }
-      set_backend(b);
-      g_backend_choice = {true, backend_label(b)};
+    Backend b{};
+    if (!backend_from_label(backend_arg, b)) {
+      std::fprintf(stderr,
+                   "vacation: unknown --backend '%s' (want "
+                   "eager|lazy|htm|hybrid|norec)\n",
+                   backend_arg);
+      return 1;
     }
+    set_default_backend(b);
   }
   if (serve) {
     tmcv::obs::set_attribution_enabled(true);
@@ -596,6 +582,5 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(hold_ms));
     tmcv_telemetry_stop();
   }
-  set_backend_auto(false);
   return rc;
 }

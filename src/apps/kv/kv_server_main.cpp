@@ -21,7 +21,6 @@
 #include <string>
 
 #include "apps/kv/kv_server.h"
-#include "tm/algs/adaptive.h"
 #include "tm/api.h"
 #include "obs/attribution.h"
 #include "obs/flight.h"
@@ -53,8 +52,8 @@ void usage(const char* argv0) {
                "threshold (smoke tests)\n"
                "  --dump-on-exit=P   write a flight dump to P at shutdown "
                "(and on alert/SIGUSR2)\n"
-               "  --backend=NAME     TM backend: eager|lazy|htm|hybrid|norec "
-               "or auto (adaptive)\n",
+               "  --backend=NAME     TM backend: "
+               "eager|lazy|htm|hybrid|norec\n",
                argv0);
 }
 
@@ -106,9 +105,6 @@ int main(int argc, char** argv) {
   opts.workers = tmcv::effective_cpus();
   long history_ms = 0;  // 0: off
   bool watchdog_on = false;
-  tmcv::tm::Backend backend = tmcv::tm::Backend::EagerSTM;
-  bool backend_set = false;
-  bool backend_auto = false;
   double abort_ratio = -1.0;  // < 0: keep the default rule
   std::string dump_path;
   for (int i = 1; i < argc; ++i) {
@@ -173,14 +169,12 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--watchdog-abort-ratio=", 23) == 0) {
       abort_ratio = std::atof(arg + 23);
     } else if (std::strncmp(arg, "--backend=", 10) == 0) {
-      const char* name = arg + 10;
-      if (std::strcmp(name, "auto") == 0) {
-        backend_auto = true;
-      } else if (!tmcv::tm::backend_from_label(name, backend)) {
+      tmcv::tm::Backend backend{};
+      if (!tmcv::tm::backend_from_label(arg + 10, backend)) {
         usage(argv[0]);
         return 2;
       }
-      backend_set = true;
+      tmcv::tm::set_default_backend(backend);
     } else if (std::strncmp(arg, "--dump-on-exit=", 15) == 0) {
       dump_path = arg + 15;
       if (dump_path.empty()) {
@@ -214,14 +208,6 @@ int main(int argc, char** argv) {
         if (r.kind == tmcv::obs::RuleKind::kAbortStorm)
           r.threshold = abort_ratio;
     tmcv::obs::watchdog().start(std::move(rules), dump_path);
-  }
-
-  if (backend_set) {
-    if (backend_auto) {
-      tmcv::tm::set_backend_auto(true);
-    } else {
-      tmcv::tm::set_backend(backend);
-    }
   }
 
   // Block the shutdown signals BEFORE spawning any thread: the mask is
@@ -290,6 +276,5 @@ int main(int argc, char** argv) {
   }
   tmcv::obs::watchdog().stop();
   tmcv::obs::timeseries().stop();
-  tmcv::tm::set_backend_auto(false);  // join the controller if --backend=auto
   return 0;
 }

@@ -9,7 +9,6 @@
 #include "sync/spin.h"
 #include "sync/sync_context.h"
 #include "sync/wait_morph.h"
-#include "tm/algs/adaptive.h"
 #include "tm/api.h"
 
 struct tmcv_cond {
@@ -86,13 +85,8 @@ int tmcv_tm_set_backend(const char* name) {
   if (name == nullptr) return -1;
   tmcv::tm::Backend b{};
   if (!tmcv::tm::backend_from_label(name, b)) return -1;
-  tmcv::tm::set_backend_auto(false);  // manual pin overrides the controller
-  tmcv::tm::set_backend(b);
+  tmcv::tm::set_default_backend(b);
   return 0;
-}
-
-void tmcv_tm_set_backend_auto(int enabled) {
-  tmcv::tm::set_backend_auto(enabled != 0);
 }
 
 const char* tmcv_tm_get_backend(void) {

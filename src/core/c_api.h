@@ -56,20 +56,14 @@ int tmcv_get_wait_morphing(void);
 
 /* TM backend selection (see docs/BACKENDS.md).
  *
- * tmcv_tm_set_backend pins the process-wide default to a fixed backend by
+ * tmcv_tm_set_backend sets the process-wide default to a fixed backend by
  * label ("eager", "lazy", "htm", "norec") or to the "hybrid" retry ladder
  * (hardware attempts, then eager, then serial); the switch happens at
- * a quiescence point (every in-flight transaction drains first) and the
- * adaptive controller, if running, is stopped.  Returns 0 on success, -1
- * on an unknown label.  Must not be called from inside a transaction.
- *
- * tmcv_tm_set_backend_auto starts (nonzero) or stops (zero) the adaptive
- * controller, which moves the default between eager/lazy/norec from live
- * abort and concurrency signals.  tmcv_tm_get_backend returns the current
- * default's label (a static string; "auto" is never returned -- the
- * controller always has some concrete backend installed). */
+ * a quiescence point (every in-flight transaction drains first).  Returns
+ * 0 on success, -1 on an unknown label.  Must not be called from inside a
+ * transaction.  tmcv_tm_get_backend returns the current default's label
+ * (a static string). */
 int tmcv_tm_set_backend(const char* name);
-void tmcv_tm_set_backend_auto(int enabled);
 const char* tmcv_tm_get_backend(void);
 
 /* Live telemetry endpoint (implemented in the obs library -- linking

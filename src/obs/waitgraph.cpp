@@ -140,7 +140,7 @@ void collect_rows_edges(WaitGraph& g) {
         e.holder = find_tm_row(g, r.detail);
         break;
       default:
-        break;  // semaphore / serial lock / adaptive sleep: site only
+        break;  // semaphore / serial lock: site only
     }
     if (e.holder == static_cast<std::int32_t>(i)) e.holder = -1;
     g.edges[g.edge_count++] = e;

@@ -91,8 +91,6 @@ const char* wait_reason_name(WaitReason r) noexcept {
       return "serial_quiesce";
     case WaitReason::kSerialLock:
       return "serial_lock";
-    case WaitReason::kAdaptiveSleep:
-      return "adaptive_sleep";
   }
   return "unknown";
 }

@@ -47,9 +47,8 @@ enum class WaitReason : std::uint8_t {
   kOrec,            // polite wait for a locked orec stripe
   kSerialQuiesce,   // serial-mode entry draining an active transaction
   kSerialLock,      // waiting for the serial lock itself to be released
-  kAdaptiveSleep,   // adaptive-backend controller between policy windows
 };
-inline constexpr std::uint32_t kWaitReasonCount = 7;
+inline constexpr std::uint32_t kWaitReasonCount = 6;
 
 [[nodiscard]] const char* wait_reason_name(WaitReason r) noexcept;
 

@@ -4,6 +4,8 @@
 #include <cstdlib>
 
 #include "sync/futex.h"
+#include "tm/serial.h"
+#include "util/assert.h"
 
 namespace tmcv::tm {
 
@@ -13,10 +15,11 @@ std::atomic<Backend> g_default_backend{Backend::EagerSTM};
 
 // TMCV_DEFAULT_BACKEND=eager|lazy|htm|hybrid|norec seeds the process-wide
 // default before main() (the CI matrix uses norec to run the whole test
-// suite value-validated).  Fixed backends only: "auto" needs the controller
-// thread, which must not start from a static initializer.  Unknown values
-// are ignored -- a typo'd env var must not change TM semantics silently
-// mid-fleet, and the benches print the effective backend anyway.
+// suite value-validated).  A plain store is safe here because no thread,
+// hence no transaction, exists yet; every later change goes through
+// set_default_backend.  Unknown values are ignored -- a typo'd env var must
+// not change TM semantics silently mid-fleet, and the benches print the
+// effective backend anyway.
 struct EnvBackendInit {
   EnvBackendInit() {
     const char* v = std::getenv("TMCV_DEFAULT_BACKEND");
@@ -31,7 +34,18 @@ EnvBackendInit g_env_backend_init;
 }  // namespace
 
 void set_default_backend(Backend b) noexcept {
+  TxDescriptor& d = descriptor();
+  TMCV_ASSERT_MSG(!d.in_txn(), "cannot switch backends inside a transaction");
+  if (default_backend() == b) return;
+  // Piggyback on the serial lock's global stop: acquisition drains every
+  // in-flight optimistic transaction, so when the new default is published
+  // no transaction begun under the old resolution is still running, and
+  // every later begin_top re-resolves against the new default.  The lock is
+  // held across the store only (no user code), so the stall is one drain.
+  serial_lock().acquire(d.slot());
   g_default_backend.store(b, std::memory_order_release);
+  serial_lock().release();
+  counters::bump(d.stats().backend_switches);
 }
 
 Backend default_backend() noexcept {

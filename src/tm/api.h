@@ -35,6 +35,12 @@
 namespace tmcv::tm {
 
 // Process-wide default backend for transactions that do not name one.
+// set_default_backend is the only way to change it after static
+// initialisation, and it switches at a quiescence point: it acquires the
+// serial lock (draining every in-flight optimistic transaction), stores the
+// new default and releases, then counts one Stats::backend_switches.  It
+// returns at once when `b` is already the default.  Must not be called
+// inside a transaction.
 void set_default_backend(Backend b) noexcept;
 [[nodiscard]] Backend default_backend() noexcept;
 
@@ -46,7 +52,7 @@ void set_default_backend(Backend b) noexcept;
 // requests) runs NOrec; while the default is an orec backend, an explicit
 // NOrec request is coerced to LazySTM (same redo-log write semantics).
 // begin_top applies this after publishing activity, which makes it
-// race-free across quiesced backend switches.
+// race-free across every change of the default (set_default_backend).
 [[nodiscard]] Backend resolve_backend(Backend req) noexcept;
 
 [[nodiscard]] inline bool in_txn() noexcept { return descriptor().in_txn(); }

@@ -228,7 +228,7 @@ void TxDescriptor::begin_top(Backend b, std::uint32_t depth) {
     g_serial.wait_until_free();
   }
   // Resolve the requested backend against the process default HERE, after
-  // activity_begin: a quiesced backend switch (algs::set_backend) drains
+  // activity_begin: a backend switch (set_default_backend) drains
   // every in-flight optimistic transaction through the serial lock, so a
   // transaction that begins after the drain is guaranteed to observe the
   // new default -- no orec-family transaction can overlap a NOrec one.

@@ -63,7 +63,6 @@ enum class Backend : std::uint8_t {
 [[nodiscard]] const char* backend_label(Backend b) noexcept;
 
 // Parse a lowercase label back to a Backend; false on unknown input.
-// ("auto" is not a Backend -- callers handle it before parsing.)
 [[nodiscard]] bool backend_from_label(const char* s, Backend& out) noexcept;
 
 // TxAbort (the abort token) lives in tm/cm.h alongside the attempt budgets

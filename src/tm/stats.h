@@ -65,7 +65,7 @@ struct Stats : counters::Family<Stats> {
   std::uint64_t norec_validations = 0;   // value-revalidation passes
   std::uint64_t norec_val_failures = 0;  // revalidations that found a change
 
-  // Quiesced backend switches (tm::set_backend), counted on the switching
+  // Quiesced backend switches (tm::set_default_backend), counted on the switching
   // thread's descriptor.
   std::uint64_t backend_switches = 0;
 

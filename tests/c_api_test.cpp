@@ -122,8 +122,6 @@ TEST(CApi, BackendSelection) {
   EXPECT_EQ(tmcv_tm_set_backend("bogus"), -1);
   EXPECT_EQ(tmcv_tm_set_backend(nullptr), -1);
   EXPECT_STREQ(tmcv_tm_get_backend(), "norec");  // bad input changes nothing
-  tmcv_tm_set_backend_auto(1);
-  tmcv_tm_set_backend_auto(0);
   EXPECT_EQ(tmcv_tm_set_backend("eager"), 0);
   EXPECT_STREQ(tmcv_tm_get_backend(), "eager");
   EXPECT_EQ(tmcv_tm_set_backend(initial.c_str()), 0);

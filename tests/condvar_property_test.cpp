@@ -28,7 +28,17 @@ struct ChurnParam {
 };
 
 class CondVarChurn
-    : public ::testing::TestWithParam<std::tuple<Backend, int>> {};
+    : public ::testing::TestWithParam<std::tuple<Backend, int>> {
+ protected:
+  void SetUp() override {
+    saved_ = tm::default_backend();
+    tm::set_default_backend(std::get<0>(GetParam()));
+  }
+  void TearDown() override { tm::set_default_backend(saved_); }
+
+ private:
+  Backend saved_{};
+};
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CondVarChurn,
@@ -43,9 +53,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Token-passing churn: a notifier hands out exactly `kTokens` wakeups; the
 // waiters must consume exactly that many, one per wait, no more, no less.
 TEST_P(CondVarChurn, ExactWaitNotifyPairing) {
-  const Backend backend = std::get<0>(GetParam());
   const int n_waiters = std::get<1>(GetParam());
-  tm::set_default_backend(backend);
   constexpr int kRoundsPerWaiter = 200;
   const int total_rounds = n_waiters * kRoundsPerWaiter;
 
@@ -99,16 +107,13 @@ TEST_P(CondVarChurn, ExactWaitNotifyPairing) {
   for (auto& w : waiters) w.join();
   EXPECT_EQ(consumed.load(), total_rounds);
   EXPECT_EQ(tokens.load(), 0);
-  tm::set_default_backend(Backend::EagerSTM);
 }
 
 // Spurious-wakeup freedom: with exactly K notifies for K sleeping waiters
 // and no other wake source, exactly K waits complete -- no wait ever returns
 // unpaired.
 TEST_P(CondVarChurn, NoSpuriousWakeups) {
-  const Backend backend = std::get<0>(GetParam());
   const int n_waiters = std::get<1>(GetParam());
-  tm::set_default_backend(backend);
   constexpr int kIterations = 50;
 
   for (int iter = 0; iter < kIterations; ++iter) {
@@ -134,16 +139,13 @@ TEST_P(CondVarChurn, NoSpuriousWakeups) {
     // The n+1'th notify finds nobody.
     EXPECT_FALSE(cv.notify_one());
   }
-  tm::set_default_backend(Backend::EagerSTM);
 }
 
 // notify_all vs concurrent re-waiters: the §3.3 privatization scenario.
 // Waiters continuously re-wait; notify_all storms must never lose a node,
 // corrupt the queue, or double-wake.
 TEST_P(CondVarChurn, NotifyAllRewaitStorm) {
-  const Backend backend = std::get<0>(GetParam());
   const int n_waiters = std::get<1>(GetParam());
-  tm::set_default_backend(backend);
   constexpr int kRounds = 300;
 
   CondVar cv;
@@ -185,7 +187,6 @@ TEST_P(CondVarChurn, NotifyAllRewaitStorm) {
   // Every wakeup was caused by a notification that dequeued that waiter.
   EXPECT_LE(wakeups.load(), notified);
   EXPECT_EQ(cv.waiter_count(), 0u);
-  tm::set_default_backend(Backend::EagerSTM);
 }
 
 // Two condition variables sharing one thread's node sequentially: the

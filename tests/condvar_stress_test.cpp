@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend_param.h"
 #include "core/condvar.h"
 #include "sync/sync_context.h"
 #include "tm/api.h"
@@ -23,11 +24,7 @@ namespace {
 
 using tm::Backend;
 
-class CondVarStress : public ::testing::TestWithParam<Backend> {
- protected:
-  void SetUp() override { tm::set_default_backend(GetParam()); }
-  void TearDown() override { tm::set_default_backend(Backend::EagerSTM); }
-};
+class CondVarStress : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, CondVarStress,
                          ::testing::Values(Backend::EagerSTM, Backend::LazySTM,

@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 
+#include "backend_param.h"
 #include "core/condvar.h"
 #include "core/legacy_cv.h"
 #include "tm/api.h"
@@ -135,11 +136,7 @@ TEST(LegacyCvTimed, StdStyleWaitForWithPredicate) {
   setter.join();
 }
 
-class TimedTx : public ::testing::TestWithParam<Backend> {
- protected:
-  void SetUp() override { tm::set_default_backend(GetParam()); }
-  void TearDown() override { tm::set_default_backend(Backend::EagerSTM); }
-};
+class TimedTx : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TimedTx,
                          ::testing::Values(Backend::EagerSTM, Backend::LazySTM,

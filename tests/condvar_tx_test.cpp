@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend_param.h"
 #include "core/condvar.h"
 #include "core/legacy_cv.h"
 #include "tm/api.h"
@@ -20,11 +21,7 @@ namespace {
 
 using tm::Backend;
 
-class CondVarTx : public ::testing::TestWithParam<Backend> {
- protected:
-  void SetUp() override { tm::set_default_backend(GetParam()); }
-  void TearDown() override { tm::set_default_backend(Backend::EagerSTM); }
-};
+class CondVarTx : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, CondVarTx,
                          ::testing::Values(Backend::EagerSTM, Backend::LazySTM,

@@ -175,6 +175,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LinearizabilityRecorded,
                          });
 
 TEST_P(LinearizabilityRecorded, TxQueueHistoriesLinearizeToFifo) {
+  const Backend saved = tm::default_backend();
   for (Backend b :
        {Backend::EagerSTM, Backend::LazySTM, Backend::HTM}) {
     tm::set_default_backend(b);
@@ -184,10 +185,11 @@ TEST_P(LinearizabilityRecorded, TxQueueHistoriesLinearizeToFifo) {
     EXPECT_TRUE(is_linearizable(history, SeqQueue{}))
         << "backend " << tm::to_string(b) << " seed " << GetParam();
   }
-  tm::set_default_backend(Backend::EagerSTM);
+  tm::set_default_backend(saved);
 }
 
 TEST_P(LinearizabilityRecorded, TxStackHistoriesLinearizeToLifo) {
+  const Backend saved = tm::default_backend();
   for (Backend b :
        {Backend::EagerSTM, Backend::LazySTM, Backend::HTM}) {
     tm::set_default_backend(b);
@@ -197,7 +199,7 @@ TEST_P(LinearizabilityRecorded, TxStackHistoriesLinearizeToLifo) {
     EXPECT_TRUE(is_linearizable(history, SeqStack{}))
         << "backend " << tm::to_string(b) << " seed " << GetParam();
   }
-  tm::set_default_backend(Backend::EagerSTM);
+  tm::set_default_backend(saved);
 }
 
 }  // namespace

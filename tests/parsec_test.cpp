@@ -154,12 +154,13 @@ TEST(ParsecRunner, SystemNames) {
 
 // Kernels under the HTM backend (the "Haswell" configuration).
 TEST(ParsecHtm, DedupCompletesUnderHtmBackend) {
-  tm::set_default_backend(tm::Backend::HTM);
   const KernelInfo* kernel = find_kernel("dedup");
   ASSERT_NE(kernel, nullptr);
+  const tm::Backend saved = tm::default_backend();
+  tm::set_default_backend(tm::Backend::HTM);
   const KernelResult r = kernel->run(System::Tm, test_config(2));
   EXPECT_GT(r.units, 0u);
-  tm::set_default_backend(tm::Backend::EagerSTM);
+  tm::set_default_backend(saved);
 }
 
 TEST(ParsecHtm, CondvarInternalsNeverSyscallInsideHtm) {
@@ -167,26 +168,28 @@ TEST(ParsecHtm, CondvarInternalsNeverSyscallInsideHtm) {
   // posts to commit handlers, so no semaphore syscall ever executes inside
   // a hardware transaction.  Run a condvar-heavy kernel fully
   // transactionalized on the HTM backend and verify zero syscall aborts.
-  tm::set_default_backend(tm::Backend::HTM);
-  tm::stats_reset();
   const KernelInfo* kernel = find_kernel("ferret");
   ASSERT_NE(kernel, nullptr);
+  const tm::Backend saved = tm::default_backend();
+  tm::set_default_backend(tm::Backend::HTM);
+  tm::stats_reset();
   const KernelResult r = kernel->run(System::Tm, test_config(4));
   EXPECT_GT(r.units, 0u);
   EXPECT_EQ(tm::stats_snapshot().aborts_by_backend[static_cast<std::size_t>(
                 tm::Backend::HTM)][static_cast<std::size_t>(
                 tm::TxAbort::Reason::Syscall)],
             0u);
-  tm::set_default_backend(tm::Backend::EagerSTM);
+  tm::set_default_backend(saved);
 }
 
 TEST(ParsecHtm, BarrierKernelCompletesUnderHtmBackend) {
-  tm::set_default_backend(tm::Backend::HTM);
   const KernelInfo* kernel = find_kernel("fluidanimate");
   ASSERT_NE(kernel, nullptr);
+  const tm::Backend saved = tm::default_backend();
+  tm::set_default_backend(tm::Backend::HTM);
   const KernelResult r = kernel->run(System::Tm, test_config(2));
   EXPECT_GT(r.units, 0u);
-  tm::set_default_backend(tm::Backend::EagerSTM);
+  tm::set_default_backend(saved);
 }
 
 }  // namespace

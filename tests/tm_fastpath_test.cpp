@@ -181,6 +181,7 @@ TEST_P(TmFastPathBackends, LogIndexReadAfterWriteAcrossRehash) {
 // coalesced batch flush.
 TEST_P(TmFastPathBackends, NotifyAllInAbortedTxnPostsNothing) {
   constexpr int kWaiters = 32;
+  const Backend saved = tm::default_backend();
   tm::set_default_backend(GetParam());
   CondVar cv;
   std::mutex m;
@@ -219,7 +220,7 @@ TEST_P(TmFastPathBackends, NotifyAllInAbortedTxnPostsNothing) {
   for (auto& t : waiters) t.join();
   EXPECT_EQ(woke.load(), kWaiters);
   EXPECT_EQ(cv.waiter_count(), 0u);
-  tm::set_default_backend(Backend::EagerSTM);
+  tm::set_default_backend(saved);
 }
 
 // The abort path alone: waiters must still be parked (queue intact, no

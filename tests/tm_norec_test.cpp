@@ -12,7 +12,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "tm/algs/adaptive.h"
 #include "tm/api.h"
 #include "tm/var.h"
 

@@ -1,10 +1,11 @@
-// Mid-flight backend switching under load (the quiescence-point switch of
-// tm::set_backend and the adaptive controller of tm::set_backend_auto):
-// four threads run a mixed condvar-wait + transaction token economy while
-// the main thread flips eager -> norec -> lazy -> auto.  Asserts token
-// conservation, zero lost wakeups, and an exact Stats fold across the
-// switch quiescence points (the per-backend abort matrix must sum to the
-// scalar abort counter no matter where the switches landed).
+// Backend switching through tm::set_default_backend, the one setter of the
+// process default: it waits for in-flight transactions before it returns,
+// and under load -- four threads run a mixed condvar-wait + transaction
+// token economy while the main thread flips eager -> norec -> lazy -> eager
+// -> norec -> eager -- tokens are conserved, no wakeup is lost, and the
+// Stats fold is exact across the switch quiescence points (the per-backend
+// abort matrix must sum to the scalar abort counter no matter where the
+// switches landed).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +20,6 @@
 
 #include "core/condvar.h"
 #include "sync/sync_context.h"
-#include "tm/algs/adaptive.h"
 #include "tm/api.h"
 #include "tm/txn_sync.h"
 #include "tm/var.h"
@@ -34,13 +34,57 @@ TEST(TmSwitch, QuiescedSwitchChangesDefault) {
   tm::set_default_backend(Backend::EagerSTM);
   tm::stats_reset();
 
-  EXPECT_TRUE(tm::set_backend(Backend::NOrec));
+  tm::set_default_backend(Backend::NOrec);
   EXPECT_EQ(tm::default_backend(), Backend::NOrec);
-  EXPECT_FALSE(tm::set_backend(Backend::NOrec));  // no-op: already current
-  EXPECT_TRUE(tm::set_backend(Backend::LazySTM));
+  tm::set_default_backend(Backend::NOrec);  // no-op: already current
+  tm::set_default_backend(Backend::LazySTM);
+  EXPECT_EQ(tm::default_backend(), Backend::LazySTM);
 
   const tm::Stats s = tm::stats_snapshot();
   EXPECT_EQ(s.backend_switches, 2u);
+
+  tm::set_default_backend(saved);
+}
+
+// A switch must not return while a transaction begun under the old default
+// is still running: NOrec and orec-family transactions may never overlap.
+TEST(TmSwitch, SwitchWaitsForInFlightTransaction) {
+  const Backend saved = tm::default_backend();
+  tm::set_default_backend(Backend::EagerSTM);
+
+  tm::var<int> x(0);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> committed{false};
+  std::thread txn([&] {
+    tm::atomically(Backend::EagerSTM, [&] {
+      x.store(x.load() + 1);
+      entered.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+    committed.store(true);
+  });
+  while (!entered.load()) std::this_thread::yield();
+
+  std::atomic<bool> calling{false};
+  std::atomic<bool> returned{false};
+  bool committed_at_return = false;
+  std::thread switcher([&] {
+    calling.store(true);
+    tm::set_default_backend(Backend::NOrec);
+    committed_at_return = committed.load();
+    returned.store(true);
+  });
+  while (!calling.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load()) << "switch returned mid-transaction";
+
+  release.store(true);
+  txn.join();
+  switcher.join();
+  EXPECT_TRUE(committed_at_return);
+  EXPECT_EQ(tm::default_backend(), Backend::NOrec);
+  EXPECT_EQ(x.load_plain(), 1);
 
   tm::set_default_backend(saved);
 }
@@ -123,26 +167,15 @@ TEST(TmSwitch, MidFlightFlipsConserveTokensAndStats) {
     });
   }
 
-  // Main thread: flip backends mid-flight.  Each set_backend drains every
+  // Main thread: flip backends mid-flight.  Each switch drains every
   // in-flight optimistic transaction at the serial lock, so the waiters and
   // producers above only ever observe a coherent backend per transaction.
   const Backend flips[] = {Backend::NOrec, Backend::LazySTM, Backend::EagerSTM,
                            Backend::NOrec, Backend::EagerSTM};
   for (const Backend b : flips) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    tm::set_backend(b);
+    tm::set_default_backend(b);
   }
-  while (consumed.load() < total) {
-    cv.notify_all();  // sweep stragglers
-    std::this_thread::yield();
-  }
-  // Finish with the adaptive controller running briefly: switches must keep
-  // draining cleanly while it owns the default.
-  tm::set_backend_auto(true);
-  EXPECT_TRUE(tm::backend_auto_enabled());
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  tm::set_backend_auto(false);
-  EXPECT_FALSE(tm::backend_auto_enabled());
 
   for (auto& p : producers) p.join();
   while (consumed.load() < total) {
@@ -160,9 +193,7 @@ TEST(TmSwitch, MidFlightFlipsConserveTokensAndStats) {
   // attributed to exactly one (backend, reason) cell, every switch counted,
   // and more than one backend actually ran.
   const tm::Stats s = tm::stats_snapshot();
-  // The controller may have added switches of its own during the auto
-  // phase; the five manual flips are the floor.
-  EXPECT_GE(s.backend_switches, std::size(flips));
+  EXPECT_EQ(s.backend_switches, std::size(flips));
   // One row per backend a descriptor runs (eager, lazy, htm, norec).
   static_assert(std::extent_v<decltype(tm::Stats::aborts_by_backend)> == 4);
   std::uint64_t matrix_total = 0;
@@ -172,48 +203,6 @@ TEST(TmSwitch, MidFlightFlipsConserveTokensAndStats) {
   EXPECT_EQ(matrix_total, s.aborts);
   EXPECT_GE(s.commits + s.ro_commits, static_cast<std::uint64_t>(total));
 
-  tm::set_backend_auto(false);
-  tm::set_default_backend(saved);
-}
-
-// The controller must converge to NOrec on an uncontended low-thread
-// profile and count at least one switch doing it.
-TEST(TmSwitch, AutoConvergesToNorecWhenUncontended) {
-  const Backend saved = tm::default_backend();
-  const tm::AdaptiveKnobs saved_knobs = tm::adaptive_knobs();
-  tm::set_default_backend(Backend::EagerSTM);
-  tm::stats_reset();
-
-  tm::AdaptiveKnobs knobs;
-  knobs.window_ms = 10;
-  knobs.agree_windows = 2;
-  knobs.dwell_windows = 2;
-  knobs.min_ops = 50;
-  tm::set_adaptive_knobs(knobs);
-
-  tm::var<long> counter(0);
-  std::atomic<bool> stop{false};
-  std::thread worker([&] {
-    while (!stop.load(std::memory_order_relaxed))
-      tm::atomically([&] { counter.store(counter.load() + 1); });
-  });
-
-  tm::set_backend_auto(true);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (tm::default_backend() != Backend::NOrec &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  const Backend picked = tm::default_backend();
-  tm::set_backend_auto(false);
-  stop.store(true, std::memory_order_relaxed);
-  worker.join();
-
-  EXPECT_EQ(picked, Backend::NOrec);
-  const tm::Stats s = tm::stats_snapshot();
-  EXPECT_GE(s.backend_switches, 1u);
-
-  tm::set_adaptive_knobs(saved_knobs);
   tm::set_default_backend(saved);
 }
 

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend_param.h"
 #include "tm/api.h"
 #include "tmds/tx_lru_map.h"
 
@@ -17,11 +18,7 @@ namespace {
 
 using tm::Backend;
 
-class LruBackends : public ::testing::TestWithParam<Backend> {
- protected:
-  void SetUp() override { tm::set_default_backend(GetParam()); }
-  void TearDown() override { tm::set_default_backend(Backend::EagerSTM); }
-};
+class LruBackends : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, LruBackends,
                          ::testing::Values(Backend::EagerSTM, Backend::LazySTM,

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend_param.h"
 #include "tm/api.h"
 #include "tm/epoch.h"
 #include "tmds/tx_bst.h"
@@ -27,11 +28,10 @@ using tm::Backend;
 using Key = std::uint64_t;
 using Val = std::uint64_t;
 
-class OrderedBackends : public ::testing::TestWithParam<Backend> {
+class OrderedBackends : public test::BackendParamTest {
  protected:
-  void SetUp() override { tm::set_default_backend(GetParam()); }
   void TearDown() override {
-    tm::set_default_backend(Backend::EagerSTM);
+    BackendParamTest::TearDown();
     tm::gc_collect();
   }
 };

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend_param.h"
 #include "tm/api.h"
 #include "tm/epoch.h"
 #include "tmds/tx_hashmap.h"
@@ -20,11 +21,7 @@ namespace {
 
 using tm::Backend;
 
-class TmdsBackends : public ::testing::TestWithParam<Backend> {
- protected:
-  void SetUp() override { tm::set_default_backend(GetParam()); }
-  void TearDown() override { tm::set_default_backend(Backend::EagerSTM); }
-};
+class TmdsBackends : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TmdsBackends,
                          ::testing::Values(Backend::EagerSTM, Backend::LazySTM,
