@@ -21,21 +21,19 @@ class CvBarrier {
   void arrive_and_wait() {
     std::uint64_t my_generation = 0;
     bool last = false;
-    Policy::critical(region_, [&] {
+    Policy::critical(region_, [&](auto& notify) {
       my_generation = generation_.get();
       const std::size_t arrived = arrived_.get() + 1;
-      if (arrived == parties_) {
-        last = true;
+      last = arrived == parties_;
+      if (last) {
         arrived_.set(0);
         generation_.set(my_generation + 1);
+        notify.all(cv_);
       } else {
         arrived_.set(arrived);
       }
     });
-    if (last) {
-      Policy::notify_all(cv_);
-      return;
-    }
+    if (last) return;
     // The generation check re-runs inside a fresh critical section, so a
     // release that lands between our arrival and our wait is never missed.
     Policy::execute_or_wait(region_, cv_, [&] {

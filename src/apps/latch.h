@@ -23,11 +23,11 @@ class Latch {
 
   // One party reports completion.
   void report() {
-    const bool full = Policy::critical(region_, [&] {
+    Policy::critical(region_, [&](auto& notify) {
       arrived_.set(arrived_.get() + 1);
-      return target_.get() != 0 && arrived_.get() >= target_.get();
+      if (target_.get() != 0 && arrived_.get() >= target_.get())
+        notify.all(cv_);
     });
-    if (full) Policy::notify_all(cv_);
   }
 
   // Block until `target` reports have arrived (target must be set).

@@ -16,6 +16,7 @@
 //   Region           -- what a critical section locks (mutex / nothing)
 //   CondVar          -- the condition-synchronization object
 //   Cell<T>          -- shared data cell, valid inside critical sections
+//   Notifier         -- the notifies a critical section owes (below)
 //   critical(r, fn)        -- run fn as a critical section, return its value
 //   relaxed(r, fn)         -- critical section allowed to do I/O
 //                             (irrevocable transaction under TxnPolicy)
@@ -23,11 +24,24 @@
 //                    -- the Mesa wait loop: run fn in a critical section;
 //                       if it returns false, wait on cv (splitting the
 //                       section) and retry until it returns true
-//   notify_one/notify_all(cv)
-//                    -- callable from inside or outside critical sections
+//
+// Where a notify runs.  A section body may take a `Notifier&` and name the
+// condition variables whose predicate it changed, right where it changed
+// them: `notify.one(cv)` / `notify.all(cv)`.  The policy, not the block,
+// decides when those notifies run:
+//   - the lock policies run them after the unlock, in the order named, so a
+//     woken thread does not run straight into the held mutex;
+//   - TxnPolicy runs them on the spot, nested in the section's transaction
+//     (the paper's NOTIFY, Algorithms 5-6, §3.2): the waiter-queue update
+//     commits or aborts with the section, the posts go out in the commit's
+//     wake batch, and the section costs one commit, not one plus one per
+//     notify.
+// A body that returns false to execute_or_wait (and so waits) must not
+// notify: under a lock its notify would run only after the wait.
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
 #include <mutex>
 #include <type_traits>
 #include <utility>
@@ -37,6 +51,7 @@
 #include "tm/api.h"
 #include "tm/txn_sync.h"
 #include "tm/var.h"
+#include "util/assert.h"
 
 namespace tmcv::apps {
 
@@ -66,6 +81,65 @@ class TxCell {
   tm::var<T> value_;
 };
 
+// The lock policies' Notifier: records the notifies a section names and
+// runs them when it is destroyed.  critical/execute_or_wait declare it
+// before taking the lock, so it notifies after the unlock.
+template <typename CV>
+class NotifyAfterUnlock {
+ public:
+  NotifyAfterUnlock() = default;
+  NotifyAfterUnlock(const NotifyAfterUnlock&) = delete;
+  NotifyAfterUnlock& operator=(const NotifyAfterUnlock&) = delete;
+  ~NotifyAfterUnlock() {
+    for (std::size_t i = 0; i < count_; ++i) {
+      if (pending_[i].all)
+        pending_[i].cv->notify_all();
+      else
+        pending_[i].cv->notify_one();
+    }
+  }
+
+  void one(CV& cv) { add(cv, false); }
+  void all(CV& cv) { add(cv, true); }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+
+ private:
+  struct Pending {
+    CV* cv;
+    bool all;
+  };
+  // No block names more than two condition variables in one section.
+  static constexpr std::size_t kMaxPending = 2;
+
+  void add(CV& cv, bool all) {
+    TMCV_ASSERT_MSG(count_ < kMaxPending, "too many notifies in one section");
+    pending_[count_++] = Pending{&cv, all};
+  }
+
+  Pending pending_[kMaxPending]{};
+  std::size_t count_ = 0;
+};
+
+// TxnPolicy's Notifier: notifies at once, inside the running transaction.
+template <typename CV>
+struct NotifyInTxn {
+  void one(CV& cv) { cv.notify_one(); }
+  void all(CV& cv) { cv.notify_all(); }
+};
+
+namespace detail {
+
+// Run a section body, handing it the Notifier when it takes one.
+template <typename F, typename N>
+decltype(auto) run_section(F& fn, N& notify) {
+  if constexpr (std::is_invocable_v<F&, N&>)
+    return fn(notify);
+  else
+    return fn();
+}
+
+}  // namespace detail
+
 // ---------------------------------------------------------------------------
 
 struct PthreadPolicy {
@@ -76,11 +150,13 @@ struct PthreadPolicy {
   using CondVar = std::condition_variable;
   template <typename T>
   using Cell = PlainCell<T>;
+  using Notifier = NotifyAfterUnlock<CondVar>;
 
   template <typename F>
   static auto critical(Region& m, F&& fn) {
+    Notifier notify;  // declared first: notifies after the unlock
     std::lock_guard<Region> guard(m);
-    return fn();
+    return detail::run_section(fn, notify);
   }
 
   template <typename F>
@@ -90,12 +166,13 @@ struct PthreadPolicy {
 
   template <typename F>
   static void execute_or_wait(Region& m, CondVar& cv, F&& fn) {
+    Notifier notify;
     std::unique_lock<Region> lock(m);
-    while (!fn()) cv.wait(lock);
+    while (!detail::run_section(fn, notify)) {
+      TMCV_DEBUG_ASSERT(notify.empty());
+      cv.wait(lock);
+    }
   }
-
-  static void notify_one(CondVar& cv) { cv.notify_one(); }
-  static void notify_all(CondVar& cv) { cv.notify_all(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -108,16 +185,19 @@ struct TmCvPolicy {
   using CondVar = tmcv::condition_variable;
   template <typename T>
   using Cell = PlainCell<T>;
+  using Notifier = NotifyAfterUnlock<CondVar>;
 
   template <typename F>
   static auto critical(Region& m, F&& fn) {
-    // Declared before the guard so it outlives the unlock: notifies issued
-    // inside the section morph onto this mutex's relay chain
-    // (sync/wait_morph.h), waking one waiter per unlock instead of the
-    // whole herd.
+    // The Notifier is declared first, so its notifies run after both the
+    // unlock and the scope.  The scope is declared before the guard so it
+    // outlives the unlock: a notify that fn calls on a condvar directly
+    // morphs onto this mutex's relay chain (sync/wait_morph.h), waking one
+    // waiter per unlock instead of the whole herd.
+    Notifier notify;
     WakeHandoffScope scope(m);
     std::lock_guard<Region> guard(m);
-    return fn();
+    return detail::run_section(fn, notify);
   }
 
   template <typename F>
@@ -127,14 +207,16 @@ struct TmCvPolicy {
 
   template <typename F>
   static void execute_or_wait(Region& m, CondVar& cv, F&& fn) {
-    WakeHandoffScope scope(m);  // fn may notify; see critical()
+    Notifier notify;            // see critical()
+    WakeHandoffScope scope(m);  // see critical()
     std::unique_lock<Region> lock(m);
-    while (!fn()) cv.wait(lock);  // no spurious wakeups; loop handles
-                                  // oblivious ones under notify_all
+    // No spurious wakeups; the loop handles oblivious ones under
+    // notify_all.
+    while (!detail::run_section(fn, notify)) {
+      TMCV_DEBUG_ASSERT(notify.empty());
+      cv.wait(lock);
+    }
   }
-
-  static void notify_one(CondVar& cv) { cv.notify_one(); }
-  static void notify_all(CondVar& cv) { cv.notify_all(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -149,17 +231,20 @@ struct TxnPolicy {
   using CondVar = tmcv::CondVar;
   template <typename T>
   using Cell = TxCell<T>;
+  using Notifier = NotifyInTxn<CondVar>;
 
   template <typename F>
   static auto critical(Region&, F&& fn) {
-    return tm::atomically(std::forward<F>(fn));
+    Notifier notify;
+    return tm::atomically([&] { return detail::run_section(fn, notify); });
   }
 
   // Relaxed transaction: irrevocable, may perform I/O; serializes against
   // all other transactions (the paper's dedup anomaly, §5.4).
   template <typename F>
   static auto relaxed(Region&, F&& fn) {
-    return tm::irrevocably(std::forward<F>(fn));
+    Notifier notify;
+    return tm::irrevocably([&] { return detail::run_section(fn, notify); });
   }
 
   // The manual refactoring of §5.3: each iteration is one transaction; a
@@ -168,10 +253,11 @@ struct TxnPolicy {
   // notify can fall between them.
   template <typename F>
   static void execute_or_wait(Region&, CondVar& cv, F&& fn) {
+    Notifier notify;
     for (;;) {
       bool satisfied = false;
       tm::atomically([&] {
-        satisfied = fn();
+        satisfied = detail::run_section(fn, notify);
         if (!satisfied) {
           tm::TxnSync sync;
           cv.wait_final(sync);
@@ -180,9 +266,6 @@ struct TxnPolicy {
       if (satisfied) return;
     }
   }
-
-  static void notify_one(CondVar& cv) { cv.notify_one(); }
-  static void notify_all(CondVar& cv) { cv.notify_all(); }
 };
 
 }  // namespace tmcv::apps

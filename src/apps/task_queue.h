@@ -34,7 +34,7 @@ class TaskQueueSet {
   // false) only if that ring is full.
   bool add(std::size_t q, Task task) {
     TMCV_ASSERT(q < queues_);
-    const bool added = Policy::critical(region_, [&] {
+    return Policy::critical(region_, [&](auto& notify) {
       Ring& ring = *rings_[q];
       const std::size_t count = ring.count.get();
       if (count == capacity_) return false;
@@ -43,10 +43,9 @@ class TaskQueueSet {
       ring.tail.set((tail + 1) % capacity_);
       ring.count.set(count + 1);
       pending_.set(pending_.get() + 1);
+      notify.all(work_cv_);
       return true;
     });
-    if (added) Policy::notify_all(work_cv_);
-    return added;
   }
 
   // Take a task, preferring our own queue and stealing round-robin
@@ -79,13 +78,12 @@ class TaskQueueSet {
 
   // Mark one taken task finished; the completion latch trips at zero.
   void complete() {
-    const bool all_done = Policy::critical(region_, [&] {
+    Policy::critical(region_, [&](auto& notify) {
       const std::size_t pending = pending_.get();
       TMCV_ASSERT(pending > 0);
       pending_.set(pending - 1);
-      return pending - 1 == 0;
+      if (pending - 1 == 0) notify.all(done_cv_);
     });
-    if (all_done) Policy::notify_all(done_cv_);
   }
 
   // Main thread: block until every added task has been completed.
@@ -96,8 +94,10 @@ class TaskQueueSet {
 
   // Wake all takers permanently (shutdown).
   void stop() {
-    Policy::critical(region_, [&] { stopped_.set(true); });
-    Policy::notify_all(work_cv_);
+    Policy::critical(region_, [&](auto& notify) {
+      stopped_.set(true);
+      notify.all(work_cv_);
+    });
   }
 
   [[nodiscard]] std::size_t pending() {

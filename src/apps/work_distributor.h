@@ -25,23 +25,23 @@ class WorkDistributor {
   // Master: broadcast a command to every slave and block until all report
   // completion.
   void distribute_and_wait(Command cmd) {
-    Policy::critical(region_, [&] {
+    Policy::critical(region_, [&](auto& notify) {
       command_.set(cmd);
       done_count_.set(0);
       for (std::size_t s = 0; s < slaves_; ++s) has_task_[s].set(true);
+      notify.all(task_cv_);
     });
-    Policy::notify_all(task_cv_);
     Policy::execute_or_wait(region_, done_cv_,
                             [&] { return done_count_.get() == slaves_; });
   }
 
   // Master: release the slaves permanently.
   void stop() {
-    Policy::critical(region_, [&] {
+    Policy::critical(region_, [&](auto& notify) {
       command_.set(kStop);
       for (std::size_t s = 0; s < slaves_; ++s) has_task_[s].set(true);
+      notify.all(task_cv_);
     });
-    Policy::notify_all(task_cv_);
   }
 
   // Slave: block for the next command; returns false on kStop.
@@ -61,11 +61,10 @@ class WorkDistributor {
 
   // Slave: report the current command finished.
   void report_done() {
-    const bool all = Policy::critical(region_, [&] {
+    Policy::critical(region_, [&](auto& notify) {
       done_count_.set(done_count_.get() + 1);
-      return done_count_.get() == slaves_;
+      if (done_count_.get() == slaves_) notify.all(done_cv_);
     });
-    if (all) Policy::notify_all(done_cv_);
   }
 
  private:

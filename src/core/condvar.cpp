@@ -1,6 +1,7 @@
 #include "core/condvar.h"
 
 #include <algorithm>
+#include <deque>
 #include <mutex>
 #include <vector>
 
@@ -69,6 +70,71 @@ void hand_off_herd(const void* lock,
   for (std::size_t i = 1; i < victims.size(); ++i)
     morph_requeue(lock, &victims[i]->morph);
   victims[0]->sem.post();
+}
+
+// One notify's bookkeeping: which counters to bump, how many it woke, its
+// grant instant `t0` and its notifier's txn-site label.
+struct NotifyCount {
+  CondVarStats* stats;
+  std::atomic<std::uint16_t>* last_site;
+  std::uint64_t* calls;
+  std::size_t woken;
+  std::uint64_t t0;
+  std::uint16_t site;
+};
+
+// `t0` was captured BEFORE the queue transaction: the trace record must
+// precede every wake it causes, or the offline causal check
+// (tools/trace_report.py --causal) would see wakes without tokens whenever
+// a victim stamps its wait-end before the notifier regains the CPU.
+void count_notify(const NotifyCount& n) noexcept {
+  counters::add(*n.calls);
+  // Remember who notifies this condvar (by txn-site label) so the
+  // wait-for graph can point a parked waiter at its expected notifier.
+  n.last_site->store(n.site, std::memory_order_relaxed);
+  if (n.woken == 0)
+    counters::add(n.stats->lost_notifies);
+  else
+    counters::add(n.stats->threads_woken, n.woken);
+#if TMCV_TRACE
+  obs::emit_instant_at(obs::Event::kCvNotify, n.t0,
+                       static_cast<std::uint16_t>(
+                           n.woken > 0xffff ? 0xffff : n.woken));
+#endif
+}
+
+// A notify nested in a transaction merged its queue transaction into the
+// caller's, so an abort re-runs it: counting at once would count (and
+// trace) every attempt.  Its count waits for the commit instead.  Records
+// keep stable addresses (a deque never moves its elements) and recycle
+// through a free list; exactly one of the two handlers runs per
+// transaction and returns the record, so a warmed-up thread allocates
+// nothing.
+struct PendingCounts {
+  std::deque<NotifyCount> records;
+  std::vector<NotifyCount*> free;
+};
+thread_local PendingCounts t_pending;
+
+void count_at_commit(const NotifyCount& n) {
+  PendingCounts& p = t_pending;
+  NotifyCount* rec = nullptr;
+  if (p.free.empty()) {
+    rec = &p.records.emplace_back(n);
+  } else {
+    rec = p.free.back();
+    p.free.pop_back();
+    *rec = n;
+  }
+  tm::on_commit_fn(
+      [](void* r) {
+        count_notify(*static_cast<NotifyCount*>(r));
+        t_pending.free.push_back(static_cast<NotifyCount*>(r));
+      },
+      rec);
+  tm::on_abort_fn(
+      [](void* r) { t_pending.free.push_back(static_cast<NotifyCount*>(r)); },
+      rec);
 }
 
 }  // namespace
@@ -250,12 +316,13 @@ std::size_t CondVar::select_and_wake(std::uint64_t& calls, Selector select) {
   // The grant instant, captured BEFORE the queue transaction (see
   // count_notify for why the ordering matters).
   const std::uint64_t t0 = trace_ticks();
+  const bool nested = tm::in_txn();
   // The one exception to the wake batch, decided up front: a naked notify
   // under a declared lock scope hands a herd to that lock's relay chain
   // after commit (sync/wait_morph.h).  Inside an ambient transaction every
   // post must stay discardable by its abort (§3.2).
   const void* herd_lock = current_lock_scope();
-  if (herd_lock != nullptr && (tm::in_txn() || !wait_morphing()))
+  if (herd_lock != nullptr && (nested || !wait_morphing()))
     herd_lock = nullptr;
   Victims& victims = t_victims;
   tm::atomically([&] {
@@ -279,7 +346,12 @@ std::size_t CondVar::select_and_wake(std::uint64_t& calls, Selector select) {
   });
   if (herd_lock != nullptr && victims.size() > 1)
     hand_off_herd(herd_lock, victims);
-  count_notify(calls, victims.size(), t0);
+  const NotifyCount count{&stats_, &last_notify_site_, &calls,
+                          victims.size(), t0, tm::descriptor().txn_site()};
+  if (nested)
+    count_at_commit(count);
+  else
+    count_notify(count);
   return victims.size();
 }
 
@@ -287,7 +359,17 @@ void CondVar::cut(Victims& out, std::size_t n, WakePolicy order) {
   // Accesses to next fields stay inside the transaction (§3.3): the nodes
   // are reachable only because their owners' enqueue transactions
   // committed and no intervening notify removed them, so no owner can be
-  // at WAIT line 1 and no race with its plain store is possible.
+  // at WAIT line 1 and no race with its plain store is possible -- in an
+  // attempt that will commit.  A doomed attempt can still reach a node
+  // that a concurrent notify removed and whose woken owner has re-waited:
+  // WAIT line 1 nulled its `next` with a plain store no orec records, so
+  // the walk meets null before `size` nodes.  Such an attempt cannot pass
+  // validation; abort it rather than follow the null.
+  auto node_or_abort = [](detail::WaitNode* node) {
+    if (node == nullptr)
+      tm::descriptor().abort_restart(tm::TxAbort::Reason::Conflict);
+    return node;
+  };
   const std::size_t size = size_.load();
   const std::size_t k = std::min(n, size);
   if (k == 0) return;  // empty queue: the notify is lost, by spec
@@ -298,12 +380,12 @@ void CondVar::cut(Victims& out, std::size_t n, WakePolicy order) {
   detail::WaitNode* cur = head_.load();
   if (order == WakePolicy::LIFO) {
     for (std::size_t i = k; i < size; ++i) {
-      keep = cur;
-      cur = cur->next.load();
+      keep = node_or_abort(cur);
+      cur = keep->next.load();
     }
   }
   for (std::size_t i = 0; i < k; ++i) {
-    out.push_back(cur);
+    out.push_back(node_or_abort(cur));
     cur = cur->next.load();
   }
   if (keep == nullptr)
@@ -313,31 +395,6 @@ void CondVar::cut(Victims& out, std::size_t n, WakePolicy order) {
   if (cur == nullptr) tail_.store(keep);
   size_.store(size - k);
   if (order == WakePolicy::LIFO) std::reverse(out.begin(), out.end());
-}
-
-// `t0` is the notify's grant instant, captured BEFORE the queue
-// transaction: the trace record must precede every wake it causes, or the
-// offline causal check (tools/trace_report.py --causal) would see wakes
-// without tokens whenever a victim stamps its wait-end before the notifier
-// regains the CPU.
-void CondVar::count_notify(std::uint64_t& calls, std::size_t woken,
-                           std::uint64_t t0) noexcept {
-  counters::add(calls);
-  // Remember who notifies this condvar (by txn-site label) so the
-  // wait-for graph can point a parked waiter at its expected notifier.
-  last_notify_site_.store(tm::descriptor().txn_site(),
-                          std::memory_order_relaxed);
-  if (woken == 0)
-    counters::add(stats_.lost_notifies);
-  else
-    counters::add(stats_.threads_woken, woken);
-#if TMCV_TRACE
-  obs::emit_instant_at(obs::Event::kCvNotify, t0,
-                       static_cast<std::uint16_t>(
-                           woken > 0xffff ? 0xffff : woken));
-#else
-  (void)t0;
-#endif
 }
 
 std::size_t CondVar::waiter_count() const {

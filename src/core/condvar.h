@@ -363,16 +363,13 @@ class CondVar {
   }
 
   // The one NOTIFY routine: runs `select` in the queue transaction, stamps
-  // and wakes its victims, bumps `calls`.  Returns the number woken.
+  // and wakes its victims, bumps `calls` (at the enclosing commit, when
+  // nested in a transaction).  Returns the number woken.
   std::size_t select_and_wake(std::uint64_t& calls, Selector select);
 
   // The selector of notify_one/all/n: cut min(n, size) waiters off the
   // queue, oldest first under FIFO order, newest first under LIFO.
   void cut(Victims& out, std::size_t n, WakePolicy order);
-
-  // Per-notify bookkeeping; `t0` is the notify's grant instant.
-  void count_notify(std::uint64_t& calls, std::size_t woken,
-                    std::uint64_t t0) noexcept;
 
   tm::var<detail::WaitNode*> head_{nullptr};
   tm::var<detail::WaitNode*> tail_{nullptr};

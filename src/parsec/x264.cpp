@@ -80,9 +80,11 @@ KernelResult run_impl(const KernelConfig& cfg) {
           local ^= synth_work(cfg.seed ^ (static_cast<std::uint64_t>(f) * 131
                                           + static_cast<std::uint64_t>(r)),
                               row_iters);
-          Policy::critical(region, [&] { progress[f]->set(r + 1); });
           // Threads encoding dependent frames may be waiting on any row.
-          Policy::notify_all(progress_cv);
+          Policy::critical(region, [&](auto& notify) {
+            progress[f]->set(r + 1);
+            notify.all(progress_cv);
+          });
         }
       }
       checksum.fetch_xor(local, std::memory_order_relaxed);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -13,6 +14,7 @@
 
 #include "backend_param.h"
 #include "core/condvar.h"
+#include "core/legacy_cv.h"
 #include "sync/sync_context.h"
 #include "tm/api.h"
 #include "tm/txn_sync.h"
@@ -246,6 +248,52 @@ TEST_P(CondVarStress, PrivatizationChurn) {
   drainer.join();
   EXPECT_EQ(cv.waiter_count(), 0u);
   EXPECT_GT(wakeups.load(), 0);
+}
+
+
+// The same churn with notifiers racing each other, and with lock-based
+// waiters that re-wait at once: one notifier's commit removes a node whose
+// owner re-waits (WAIT line 1 nulls its `next` with a plain store) while
+// another notifier's doomed attempt is still walking the queue, so that
+// walk meets null before `size` nodes.  The walk must abort, not follow
+// the null (before it did, this crashed about one run in three).
+TEST_P(CondVarStress, PrivatizationChurnConcurrentNotifiers) {
+  constexpr int kWaiters = 5;
+  constexpr int kNotifiers = 2;
+  constexpr auto kStorm = std::chrono::milliseconds(300);
+  condition_variable cv;
+  std::mutex m;
+  std::atomic<bool> stop{false};
+  std::atomic<int> live_waiters{kWaiters};
+  std::vector<std::thread> waiters;
+  for (int w = 0; w < kWaiters; ++w) {
+    waiters.emplace_back([&] {
+      while (!stop.load()) {
+        std::unique_lock<std::mutex> lock(m);
+        if (stop.load()) break;
+        cv.wait(lock);
+      }
+      live_waiters.fetch_sub(1);
+    });
+  }
+  std::vector<std::thread> notifiers;
+  const auto end = std::chrono::steady_clock::now() + kStorm;
+  for (int n = 0; n < kNotifiers; ++n) {
+    notifiers.emplace_back([&] {
+      while (std::chrono::steady_clock::now() < end) {
+        cv.notify_all();
+        cv.notify_one();
+      }
+    });
+  }
+  for (auto& t : notifiers) t.join();
+  stop.store(true);
+  while (live_waiters.load() > 0) {
+    cv.notify_all();
+    std::this_thread::yield();
+  }
+  for (auto& t : waiters) t.join();
+  EXPECT_EQ(cv.raw().waiter_count(), 0u);
 }
 
 }  // namespace

@@ -300,5 +300,81 @@ TEST_P(CondVarTx, RewaitFromContinuation) {
   EXPECT_EQ(value.load(), 2);
 }
 
+
+// A notify nested in a transaction is counted (and traced) when that
+// transaction commits, once, however many attempts ran it.
+TEST_P(CondVarTx, NestedNotifyCountedOncePerCommit) {
+  CondVar cv;
+  int attempts = 0;  // plain int: survives the abort
+  tm::atomically([&] {
+    cv.notify_one();
+    if (attempts++ == 0) tm::retry_txn();
+  });
+  EXPECT_GE(attempts, 2);
+  const CondVarStats s = cv.stats();
+  EXPECT_EQ(s.notify_one_calls, 1u);
+  EXPECT_EQ(s.lost_notifies, 1u);
+  EXPECT_EQ(s.threads_woken, 0u);
+}
+
+TEST_P(CondVarTx, NestedNotifyWakesAndCountsOncePerCommit) {
+  CondVar cv;
+  std::thread waiter([&] {
+    NoSync sync;
+    cv.wait_final(sync);
+  });
+  while (cv.waiter_count() == 0) std::this_thread::yield();
+  int attempts = 0;
+  tm::atomically([&] {
+    cv.notify_one();
+    if (attempts++ == 0) tm::retry_txn();
+  });
+  waiter.join();
+  EXPECT_GE(attempts, 2);
+  const CondVarStats s = cv.stats();
+  EXPECT_EQ(s.notify_one_calls, 1u);
+  EXPECT_EQ(s.threads_woken, 1u);
+  EXPECT_EQ(s.lost_notifies, 0u);
+  EXPECT_EQ(s.waits, 1u);
+}
+
+// Under contention, with every transaction forced to abort once, the
+// notify counters equal the number of committed notifies exactly.
+TEST_P(CondVarTx, NotifyCountsMatchCommittedNotifies) {
+  constexpr int kThreads = 4;
+  constexpr int kTxnsPerThread = 300;
+  CondVar cv;
+  tm::var<std::uint64_t> commits(0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kTxnsPerThread; ++i) {
+        bool aborted_once = false;
+        tm::atomically([&] {
+          commits.store(commits.load() + 1);
+          if (i % 2 == 0)
+            cv.notify_one();
+          else
+            cv.notify_all();
+          // A serial (escalated) attempt cannot roll back.
+          if (!aborted_once &&
+              tm::descriptor().state() == tm::TxState::Optimistic) {
+            aborted_once = true;
+            tm::retry_txn();
+          }
+        });
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const std::uint64_t total = kThreads * kTxnsPerThread;
+  EXPECT_EQ(commits.load(), total);
+  const CondVarStats s = cv.stats();
+  EXPECT_EQ(s.notify_one_calls, total / 2);
+  EXPECT_EQ(s.notify_all_calls, total / 2);
+  EXPECT_EQ(s.lost_notifies, total);  // nobody ever waits
+  EXPECT_EQ(s.threads_woken, 0u);
+}
+
 }  // namespace
 }  // namespace tmcv
