@@ -31,7 +31,6 @@
 #include "obs/watchdog.h"
 #include "sync/semaphore.h"
 #include "sync/spin.h"
-#include "sync/wait_morph.h"
 #include "sync/waitpoint.h"
 #include "sync/wake_stats.h"
 #include "tm/api.h"
@@ -50,11 +49,10 @@ using namespace tmcv;
 //
 //   herd      -- kWaiters threads park on tmcv::condition_variable under one
 //                std::mutex; the notifier bumps a round counter and
-//                notify_alls UNDER the lock (the classic herd anti-pattern).
-//                With wait-morphing the scoped notify makes one waiter
-//                runnable per unlock instead of stampeding the mutex.
-//                wake_to_run_per_sec counts waiters through their critical
-//                sections per second.
+//                notify_alls UNDER the lock (the classic herd anti-pattern):
+//                every waiter is posted in the notify's wake batch and the
+//                herd then queues on the mutex.  wake_to_run_per_sec
+//                counts waiters through their critical sections per second.
 //
 //   pingpong  -- two threads alternating on a pair of BinarySemaphores with
 //                the spin budget pinned: the uncontended wake path, where
@@ -102,7 +100,7 @@ int run_json_herd_mode(const char* out_path) {
       {
         std::unique_lock<std::mutex> lk(m);
         ++round;
-        cv.notify_all(lk);  // scoped: morph the herd onto the lock's chain
+        cv.notify_all();  // under the lock: the herd anti-pattern
       }
       wait_for_full_queue();
       if (round_ticks != nullptr)
@@ -181,7 +179,6 @@ int run_json_herd_mode(const char* out_path) {
   set_spin_budget(saved_budget);
   WakeStats wd = wake_stats_snapshot();
   wd -= wake_before;
-  const int morphing = wait_morphing() ? 1 : 0;
 
   std::FILE* f = std::fopen(out_path, "w");
   if (!f) {
@@ -192,7 +189,6 @@ int run_json_herd_mode(const char* out_path) {
       f,
       "{\n"
       "  \"benchmark\": \"micro_condvar_herd\",\n"
-      "  \"wait_morphing\": %d,\n"
       "  \"waitpoint_overhead_pct\": %.2f,\n"
       "  \"herd\": {\n"
       "    \"waiters\": %d,\n"
@@ -208,19 +204,15 @@ int run_json_herd_mode(const char* out_path) {
       "    \"spin_attempts\": %llu,\n"
       "    \"spin_rounds\": %llu,\n"
       "    \"parks_avoided\": %llu,\n"
-      "    \"parks\": %llu,\n"
-      "    \"requeues\": %llu,\n"
-      "    \"handoffs\": %llu\n"
+      "    \"parks\": %llu\n"
       "  }\n"
       "}\n",
-      morphing, waitpoint_overhead_pct, kWaiters, kRounds, rate_on,
+      waitpoint_overhead_pct, kWaiters, kRounds, rate_on,
       kRounds / herd_elapsed, kPingRounds, kPingRounds / ping_elapsed,
       static_cast<unsigned long long>(wd.spin_attempts),
       static_cast<unsigned long long>(wd.spin_rounds),
       static_cast<unsigned long long>(wd.parks_avoided),
-      static_cast<unsigned long long>(wd.parks),
-      static_cast<unsigned long long>(wd.requeues),
-      static_cast<unsigned long long>(wd.handoffs));
+      static_cast<unsigned long long>(wd.parks));
   std::fclose(f);
   std::printf(
       "wrote %s (wake_to_run/sec=%.0f, parks_avoided=%llu, "
@@ -382,7 +374,7 @@ int run_traced_herd(const char* trace_path) {
     {
       std::unique_lock<std::mutex> lk(m);
       ++round;
-      cv.notify_all(lk);  // scoped: morph the herd onto the lock's chain
+      cv.notify_all();
     }
     // A waiter acking round r may not have re-parked yet when round r+1 is
     // notified; the predicate re-check under the mutex makes that benign,

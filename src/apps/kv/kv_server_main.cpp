@@ -76,12 +76,11 @@ void print_final_summary() {
               static_cast<unsigned long long>(s.tm.aborts_capacity()),
               static_cast<unsigned long long>(s.tm.serial_fallbacks));
   std::printf("kv-server final: cv_waits=%llu threads_woken=%llu parks=%llu "
-              "parks_avoided=%llu handoffs=%llu\n",
+              "parks_avoided=%llu\n",
               static_cast<unsigned long long>(s.cv.waits),
               static_cast<unsigned long long>(s.cv.threads_woken),
               static_cast<unsigned long long>(s.wake.parks),
-              static_cast<unsigned long long>(s.wake.parks_avoided),
-              static_cast<unsigned long long>(s.wake.handoffs));
+              static_cast<unsigned long long>(s.wake.parks_avoided));
   for (const tmcv::obs::AppCounter& ac : s.app)
     std::printf("kv-server final: %s=%llu\n", ac.name.c_str(),
                 static_cast<unsigned long long>(ac.value));

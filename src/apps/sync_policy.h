@@ -142,12 +142,14 @@ decltype(auto) run_section(F& fn, N& notify) {
 
 // ---------------------------------------------------------------------------
 
-struct PthreadPolicy {
-  static constexpr const char* name() noexcept { return "pthread"; }
+// The two lock policies: mutex critical sections and a condvar type with
+// the std::condition_variable interface.  They differ only in that type.
+template <typename CV>
+struct LockPolicy {
   static constexpr bool kTransactional = false;
 
   using Region = std::mutex;
-  using CondVar = std::condition_variable;
+  using CondVar = CV;
   template <typename T>
   using Cell = PlainCell<T>;
   using Notifier = NotifyAfterUnlock<CondVar>;
@@ -168,6 +170,8 @@ struct PthreadPolicy {
   static void execute_or_wait(Region& m, CondVar& cv, F&& fn) {
     Notifier notify;
     std::unique_lock<Region> lock(m);
+    // No spurious wakeups from our condvar; the loop handles oblivious
+    // ones under notify_all (and the std one's spurious ones).
     while (!detail::run_section(fn, notify)) {
       TMCV_DEBUG_ASSERT(notify.empty());
       cv.wait(lock);
@@ -175,48 +179,12 @@ struct PthreadPolicy {
   }
 };
 
-// ---------------------------------------------------------------------------
+struct PthreadPolicy : LockPolicy<std::condition_variable> {
+  static constexpr const char* name() noexcept { return "pthread"; }
+};
 
-struct TmCvPolicy {
+struct TmCvPolicy : LockPolicy<tmcv::condition_variable> {
   static constexpr const char* name() noexcept { return "tmcv"; }
-  static constexpr bool kTransactional = false;
-
-  using Region = std::mutex;
-  using CondVar = tmcv::condition_variable;
-  template <typename T>
-  using Cell = PlainCell<T>;
-  using Notifier = NotifyAfterUnlock<CondVar>;
-
-  template <typename F>
-  static auto critical(Region& m, F&& fn) {
-    // The Notifier is declared first, so its notifies run after both the
-    // unlock and the scope.  The scope is declared before the guard so it
-    // outlives the unlock: a notify that fn calls on a condvar directly
-    // morphs onto this mutex's relay chain (sync/wait_morph.h), waking one
-    // waiter per unlock instead of the whole herd.
-    Notifier notify;
-    WakeHandoffScope scope(m);
-    std::lock_guard<Region> guard(m);
-    return detail::run_section(fn, notify);
-  }
-
-  template <typename F>
-  static auto relaxed(Region& m, F&& fn) {
-    return critical(m, std::forward<F>(fn));
-  }
-
-  template <typename F>
-  static void execute_or_wait(Region& m, CondVar& cv, F&& fn) {
-    Notifier notify;            // see critical()
-    WakeHandoffScope scope(m);  // see critical()
-    std::unique_lock<Region> lock(m);
-    // No spurious wakeups; the loop handles oblivious ones under
-    // notify_all.
-    while (!detail::run_section(fn, notify)) {
-      TMCV_DEBUG_ASSERT(notify.empty());
-      cv.wait(lock);
-    }
-  }
 };
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@
 #include "core/condvar.h"
 #include "sync/spin.h"
 #include "sync/sync_context.h"
-#include "sync/wait_morph.h"
 #include "tm/api.h"
 
 struct tmcv_cond {
@@ -64,22 +63,9 @@ int tmcv_cond_broadcast(tmcv_cond_t* cond) {
   return 0;
 }
 
-int tmcv_cond_broadcast_locked(tmcv_cond_t* cond, pthread_mutex_t* mutex) {
-  if (cond == nullptr || mutex == nullptr) return EINVAL;
-  tmcv::WakeHandoffScope scope(static_cast<const void*>(mutex));
-  cond->cv.notify_all();
-  return 0;
-}
-
 void tmcv_set_spin_budget(unsigned rounds) { tmcv::set_spin_budget(rounds); }
 
 unsigned tmcv_get_spin_budget(void) { return tmcv::spin_budget(); }
-
-void tmcv_set_wait_morphing(int enabled) {
-  tmcv::set_wait_morphing(enabled != 0);
-}
-
-int tmcv_get_wait_morphing(void) { return tmcv::wait_morphing() ? 1 : 0; }
 
 int tmcv_tm_set_backend(const char* name) {
   if (name == nullptr) return -1;

@@ -38,21 +38,13 @@ int tmcv_cond_timedwait_ms(tmcv_cond_t* cond, pthread_mutex_t* mutex,
 int tmcv_cond_signal(tmcv_cond_t* cond);
 int tmcv_cond_broadcast(tmcv_cond_t* cond);
 
-/* As tmcv_cond_broadcast, but declares that the caller holds `mutex` (the
- * one its waiters re-acquire).  With wait morphing enabled this wakes one
- * waiter and relays the rest one-per-unlock instead of waking the herd. */
-int tmcv_cond_broadcast_locked(tmcv_cond_t* cond, pthread_mutex_t* mutex);
-
-/* Process-wide tuning knobs (see docs/TUNING.md).
+/* Process-wide tuning knob (see docs/TUNING.md).
  *
  * Spin budget: max backoff rounds a blocking wait spins before parking in
  * the kernel (0 disables spinning; the TMCV_NO_SPIN env var forces 0 at
- * startup).  Wait morphing: enables the broadcast relay described above
- * (on by default; gates only new requeues, so toggling is always safe). */
+ * startup). */
 void tmcv_set_spin_budget(unsigned rounds);
 unsigned tmcv_get_spin_budget(void);
-void tmcv_set_wait_morphing(int enabled);
-int tmcv_get_wait_morphing(void);
 
 /* TM backend selection (see docs/BACKENDS.md).
  *

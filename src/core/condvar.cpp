@@ -57,21 +57,6 @@ std::uint16_t wait_site() noexcept { return tm::descriptor().txn_site(); }
 // across calls -- no allocation in steady state.
 thread_local std::vector<detail::WaitNode*> t_victims;
 
-// Wait morphing for a naked herd notify under a lock scope: post the first
-// victim and park the rest on the lock's relay chain.  The first victim's
-// morph key is set BEFORE its post and the rest are requeued BEFORE the
-// post too: once the first waiter runs it must find the chain fully
-// formed, or a late requeue could strand a waiter (lost wakeup).
-void hand_off_herd(const void* lock,
-                   const std::vector<detail::WaitNode*>& victims) {
-  // The directly-woken waiter starts the relay, so it carries the key too;
-  // without it the second victim would never be posted.
-  victims[0]->morph.key.store(lock, std::memory_order_relaxed);
-  for (std::size_t i = 1; i < victims.size(); ++i)
-    morph_requeue(lock, &victims[i]->morph);
-  victims[0]->sem.post();
-}
-
 // One notify's bookkeeping: which counters to bump, how many it woke, its
 // grant instant `t0` and its notifier's txn-site label.
 struct NotifyCount {
@@ -201,10 +186,6 @@ detail::WaitNode& CondVar::enqueue(std::uint64_t tag) {
   // (unreachable from any queue) until the enqueue transaction commits.
   node.next.store_plain(nullptr);
   node.tag.store_plain(tag);
-  node.morph.sem = &node.sem;
-  // Let morph_requeue mirror relay-chain membership into this thread's
-  // wait slot (cleared by the WaitScope around the park on wake).
-  node.morph.wslot = my_wait_slot();
   tm::atomically([&] {
     // Attribution hint, not label: an ambient user transaction keeps its
     // own TMCV_TXN_SITE name; only standalone queue transactions show up
@@ -317,19 +298,11 @@ std::size_t CondVar::select_and_wake(std::uint64_t& calls, Selector select) {
   // count_notify for why the ordering matters).
   const std::uint64_t t0 = trace_ticks();
   const bool nested = tm::in_txn();
-  // The one exception to the wake batch, decided up front: a naked notify
-  // under a declared lock scope hands a herd to that lock's relay chain
-  // after commit (sync/wait_morph.h).  Inside an ambient transaction every
-  // post must stay discardable by its abort (§3.2).
-  const void* herd_lock = current_lock_scope();
-  if (herd_lock != nullptr && (nested || !wait_morphing()))
-    herd_lock = nullptr;
   Victims& victims = t_victims;
   tm::atomically([&] {
     TMCV_TXN_SITE_HINT("cv.notify");
     victims.clear();  // the closure may re-execute
     select.call(select.fn, victims);
-    const bool hand_off = herd_lock != nullptr && victims.size() > 1;
     for (detail::WaitNode* victim : victims) {
       // Stamp inside the transaction, right before the wake: a stamp from
       // an aborted attempt is harmless (the node's next wait clears it; a
@@ -341,11 +314,9 @@ std::size_t CondVar::select_and_wake(std::uint64_t& calls, Selector select) {
       // commits.  The TM wake batch posts every victim with one
       // post_batch, allocates nothing, and is discarded on abort, so no
       // wake-up escapes (§3.2).
-      if (!hand_off) tm::defer_wake(&victim->sem);
+      tm::defer_wake(&victim->sem);
     }
   });
-  if (herd_lock != nullptr && victims.size() > 1)
-    hand_off_herd(herd_lock, victims);
   const NotifyCount count{&stats_, &last_notify_site_, &calls,
                           victims.size(), t0, tm::descriptor().txn_site()};
   if (nested)

@@ -25,7 +25,6 @@
 
 #include "sync/semaphore.h"
 #include "sync/sync_context.h"
-#include "sync/wait_morph.h"
 #include "tm/api.h"
 #include "tm/txn_sync.h"
 #include "tm/var.h"
@@ -106,11 +105,6 @@ struct WaitNode {
   // this node, consumed by the owner after the semaphore wait.  A stamp
   // from an aborted selection is overwritten or cleared at the next wait.
   std::atomic<std::uint64_t> notify_ticks{0};
-  // Wait-morphing membership (see sync/wait_morph.h): a notifier running
-  // under a lock scope defers this waiter onto the lock's relay chain via
-  // this node instead of posting sem directly.  morph.sem always points at
-  // `sem` above (set at enqueue).
-  MorphWaiter morph;
 };
 
 WaitNode& my_wait_node() noexcept;
@@ -143,9 +137,18 @@ class CondVar {
   // loop, or the re-acquired locks).  `tag` is visible to notify_best.
   template <typename Cont>
   void wait(SyncContext& sync, Cont&& cont, std::uint64_t tag = 0) {
-    detail::WaitNode& node = enqueue_and_release(sync, tag);
-    park(node);
-    run_continuation(sync, node, std::forward<Cont>(cont));
+    park(enqueue_and_release(sync, tag));
+    if (!sync.is_transactional()) {
+      sync.begin_block();
+      cont();
+      sync.end_block();
+      return;
+    }
+    // Lines 11-13 under TM: a fresh transaction with its own retry loop,
+    // so an abort re-runs only the continuation (never the first half).
+    auto& d = tm::descriptor();
+    tm::atomically(d.backend(), [&] { cont(); });
+    d.mark_split_done();
   }
 
   // ---- WAIT, traditional style (§4.1, §4.3) ----
@@ -155,9 +158,8 @@ class CondVar {
   // transactional context the continuation runs irrevocably (§4.3), since a
   // conflict-abort after WAIT must not re-run the first half.
   void wait(SyncContext& sync, std::uint64_t tag = 0) {
-    detail::WaitNode& node = enqueue_and_release(sync, tag);
-    park(node);
-    reacquire_and_relay(sync, node);  // line 11: re-lock / begin cont. txn
+    park(enqueue_and_release(sync, tag));
+    sync.begin_block();  // line 11: re-lock / begin cont. txn
   }
 
   // ---- Timed WAIT (extension; traditional style) ----
@@ -180,9 +182,7 @@ class CondVar {
     detail::WaitNode& node = enqueue_and_release(sync, tag);
     counters::add(stats_.timed_waits);
     const bool notified = park(node, ns);
-    // On the timeout path the morph key is never set, so the relay in here
-    // is a single relaxed exchange.
-    reacquire_and_relay(sync, node);
+    sync.begin_block();
     return notified;
   }
 
@@ -191,10 +191,7 @@ class CondVar {
   // Elides the continuation entirely: no re-acquire, no second transaction.
   // The caller must not touch shared state after the call.
   void wait_final(SyncContext& sync, std::uint64_t tag = 0) {
-    detail::WaitNode& node = enqueue_and_release(sync, tag);
-    park(node);
-    // No re-acquire by contract, so nothing to pace against: relay at once.
-    morph_consume(node.morph);
+    park(enqueue_and_release(sync, tag));
     if (sync.is_transactional()) tm::descriptor().mark_split_done();
   }
 
@@ -214,8 +211,6 @@ class CondVar {
         [](void* ctx) {
           auto& node = *static_cast<detail::WaitNode*>(ctx);
           node.cv->park(node);
-          // No re-acquire either: relay at once, as wait_final does.
-          morph_consume(node.morph);
         },
         &enqueue(tag));
   }
@@ -313,41 +308,6 @@ class CondVar {
   // Transactionally search for `node` and remove it; false if a notifier
   // already dequeued it (timed-wait race resolution).
   bool try_remove_self(detail::WaitNode& node);
-
-  // Re-establish the caller's synchronization block and relay any pending
-  // wait-morph chain.  Lock-based contexts relay AFTER re-acquiring -- the
-  // pacing that turns a notify_all herd into a lock-speed relay (at most
-  // one notified waiter is runnable per unlock).  Transactional contexts
-  // have no lock to contend, and a semaphore post is a syscall that must
-  // not run inside an optimistic transaction, so they relay first.
-  static void reacquire_and_relay(SyncContext& sync,
-                                  detail::WaitNode& node) {
-    if (sync.is_transactional()) {
-      morph_consume(node.morph);
-      sync.begin_block();
-    } else {
-      sync.begin_block();
-      morph_consume(node.morph);
-    }
-  }
-
-  template <typename Cont>
-  void run_continuation(SyncContext& sync, detail::WaitNode& node,
-                        Cont&& cont) {
-    if (!sync.is_transactional()) {
-      reacquire_and_relay(sync, node);
-      cont();
-      sync.end_block();
-      return;
-    }
-    // Lines 11-13 under TM: a fresh transaction with its own retry loop,
-    // so an abort re-runs only the continuation (never the first half).
-    // Relay first: see reacquire_and_relay for why.
-    morph_consume(node.morph);
-    auto& d = tm::descriptor();
-    tm::atomically(d.backend(), [&] { cont(); });
-    d.mark_split_done();
-  }
 
   // A type-erased reference to a selector: called inside the notify's
   // queue transaction, it unlinks the waiters to wake and appends them to

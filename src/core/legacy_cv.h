@@ -87,26 +87,6 @@ class condition_variable {
   void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 
-  // Scoped notifies: declare that the notify happens under `lock` so a
-  // multi-waiter wake can morph onto that lock's relay chain (one waiter
-  // made runnable per unlock) instead of waking the whole herd into a
-  // mutex convoy.  Semantically identical to the unscoped forms -- use
-  // them whenever the lock is held, which std::condition_variable usage
-  // usually guarantees anyway.
-  template <typename Mutex>
-  void notify_one(std::unique_lock<Mutex>& lock) {
-    TMCV_ASSERT_MSG(lock.owns_lock(), "scoped notify requires a held lock");
-    WakeHandoffScope scope(*lock.mutex());
-    cv_.notify_one();
-  }
-
-  template <typename Mutex>
-  void notify_all(std::unique_lock<Mutex>& lock) {
-    TMCV_ASSERT_MSG(lock.owns_lock(), "scoped notify requires a held lock");
-    WakeHandoffScope scope(*lock.mutex());
-    cv_.notify_all();
-  }
-
   [[nodiscard]] CondVar& raw() noexcept { return cv_; }
 
  private:

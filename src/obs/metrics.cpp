@@ -366,7 +366,7 @@ std::string to_prometheus(const MetricsSnapshot& s) {
   family("tmcv_cv_", "Cumulative condition-variable counter (CondVarStats).",
          s.cv);
   family("tmcv_wake_",
-         "Cumulative wake-path counter (spin-then-park / wait morphing).",
+         "Cumulative wake-path counter (spin-then-park).",
          s.wake);
   header("tmcv_trace_events", "gauge",
          "Trace records currently retained across all rings.");

@@ -78,7 +78,7 @@ struct MetricsSnapshot {
   std::string tm_backend;  // default backend label at capture time
                            // ("eager"/"lazy"/"htm"/"hybrid"/"norec")
   CondVarStats cv;     // folded over live + destroyed condition variables
-  WakeStats wake;      // process-wide spin/park and wait-morph counters
+  WakeStats wake;      // process-wide spin/park counters
   std::uint64_t trace_events = 0;   // records retained across all rings
   std::uint64_t trace_dropped = 0;  // records lost to ring wraparound
   std::vector<RingDrops> trace_ring_drops;  // per-ring breakdown (every ring)

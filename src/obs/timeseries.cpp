@@ -38,8 +38,6 @@ constexpr void for_each_ts_field(Fn&& fn) {
   fn("lost_notifies", &TsSample::lost_notifies);
   fn("parks", &TsSample::parks);
   fn("parks_avoided", &TsSample::parks_avoided);
-  fn("requeues", &TsSample::requeues);
-  fn("handoffs", &TsSample::handoffs);
   fn("trace_dropped", &TsSample::trace_dropped);
   fn("kv_gets", &TsSample::kv_gets);
   fn("kv_sets", &TsSample::kv_sets);
@@ -155,8 +153,6 @@ struct TimeSeriesRecorder::Impl {
 
     s.parks = dwake.parks;
     s.parks_avoided = dwake.parks_avoided;
-    s.requeues = dwake.requeues;
-    s.handoffs = dwake.handoffs;
 
     s.trace_dropped = d(cur_dropped, prev_trace_dropped);
 

@@ -57,8 +57,6 @@ struct TsSample {
   // Wake path (WakeStats deltas).
   std::uint64_t parks = 0;
   std::uint64_t parks_avoided = 0;
-  std::uint64_t requeues = 0;
-  std::uint64_t handoffs = 0;
 
   // Capture health.
   std::uint64_t trace_dropped = 0;

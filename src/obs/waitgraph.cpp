@@ -67,7 +67,6 @@ bool read_slot(const WaitSlot& s, std::uint32_t idx, std::uint64_t now,
     if ((s1 & 1ull) == 0) return true;  // running
     const std::uint64_t info = s.info.load(std::memory_order_relaxed);
     const void* target = s.target.load(std::memory_order_relaxed);
-    const void* relay = s.relay_key.load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
     if (s.seq.load(std::memory_order_relaxed) != s1) continue;
     row.waiting = true;
@@ -75,7 +74,6 @@ bool read_slot(const WaitSlot& s, std::uint32_t idx, std::uint64_t now,
     row.site = wait_info_site(info);
     row.detail = wait_info_detail(info);
     row.target = target;
-    row.relay_key = relay;
     row.episode = s1;
     const std::uint64_t start = s1 >> 1;
     row.age_ns = now > start ? TscClock::to_ns(now - start) : 0;
@@ -229,7 +227,6 @@ void append_row_json(std::ostringstream& os, const ThreadRow& r) {
        << ", \"site\": \"" << site_name(r.site) << "\""
        << ", \"site_id\": " << r.site << ", \"detail\": " << r.detail
        << ", \"target\": \"" << r.target << "\""
-       << ", \"relayed\": " << (r.relay_key != nullptr ? "true" : "false")
        << ", \"age_ns\": " << r.age_ns;
   }
   os << "}";

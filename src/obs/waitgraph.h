@@ -49,7 +49,6 @@ struct ThreadRow {
   std::uint16_t site = 0;                // waiter's own txn site label
   std::uint32_t detail = 0;              // reason-specific (stripe / slot)
   const void* target = nullptr;          // reason-specific identity
-  const void* relay_key = nullptr;       // wait-morph chain key, if relayed
   std::uint64_t episode = 0;             // odd seq value; park episode id
   std::uint64_t age_ns = 0;              // now - park start
 };

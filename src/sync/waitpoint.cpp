@@ -114,7 +114,6 @@ WaitSlot* claim_wait_slot() noexcept {
   s.seq.store(0, std::memory_order_relaxed);
   s.info.store(0, std::memory_order_relaxed);
   s.target.store(nullptr, std::memory_order_relaxed);
-  s.relay_key.store(nullptr, std::memory_order_relaxed);
   s.tm_slot.store(0xffffffffu, std::memory_order_relaxed);
   s.os_tid.store(os_thread_id(), std::memory_order_release);
   return &s;
@@ -126,7 +125,6 @@ void release_wait_slot(WaitSlot* s) noexcept {
   s->seq.store(0, std::memory_order_relaxed);
   s->info.store(0, std::memory_order_relaxed);
   s->target.store(nullptr, std::memory_order_relaxed);
-  s->relay_key.store(nullptr, std::memory_order_relaxed);
   s->tm_slot.store(0xffffffffu, std::memory_order_relaxed);
   s->os_tid.store(0, std::memory_order_release);
   reg.free_list[reg.free_count++] =

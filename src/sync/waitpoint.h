@@ -89,9 +89,8 @@ struct alignas(64) WaitSlot {
   // word AND the wait-start timestamp AND the episode id, all in one.
   std::atomic<std::uint64_t> seq{0};
   std::atomic<std::uint64_t> info{0};  // pack_wait_info while parked
-  std::atomic<const void*> target{nullptr};     // reason-specific identity
-  std::atomic<const void*> relay_key{nullptr};  // wait-morph chain, if any
-  std::atomic<std::uint32_t> os_tid{0};         // stamped once at claim
+  std::atomic<const void*> target{nullptr};  // reason-specific identity
+  std::atomic<std::uint32_t> os_tid{0};      // stamped once at claim
   std::atomic<std::uint32_t> tm_slot{0xffffffffu};  // registry slot, if TM
 };
 static_assert(sizeof(WaitSlot) == 64, "one cache line per thread");
@@ -182,15 +181,13 @@ class WaitScope {
     --detail::t_wait_depth;
     if (slot_ == nullptr) return;
     const std::uint64_t delta = TscClock::now() - start_;
-    slot_->relay_key.store(nullptr, std::memory_order_relaxed);
     slot_->seq.store(0, std::memory_order_release);
     accumulate_stall(
         info_, delta,
         static_cast<std::uint32_t>(slot_ - detail::wait_slots()));
   }
 
-  // The slot being published through this scope (nullptr when inert);
-  // condvar waits hand this to morph_requeue so relay hops are visible.
+  // The slot being published through this scope (nullptr when inert).
   [[nodiscard]] WaitSlot* slot() const noexcept { return slot_; }
 
   WaitScope(const WaitScope&) = delete;

@@ -1,5 +1,5 @@
 // Process-wide counters for the block/wake path: the spin-then-park
-// semaphore slow path and the wait-morphing notify handoff.
+// semaphore slow path.
 //
 // These live at the sync layer (not obs/) because the semaphores themselves
 // maintain them: they are always-on counters like tm::Stats and
@@ -24,10 +24,13 @@ struct WakeStats : counters::Family<WakeStats> {
   std::uint64_t spin_rounds = 0;    // total backoff rounds across attempts
   std::uint64_t parks_avoided = 0;  // token arrived mid-spin: no futex_wait
   std::uint64_t parks = 0;          // waits that entered futex_wait
-  std::uint64_t requeues = 0;       // notify victims deferred to a lock's
-                                    // morph list instead of woken directly
-  std::uint64_t handoffs = 0;       // morphed waiters posted by a chain
-                                    // advance (one per lock reacquisition)
+  // Retired counters of the deleted wait-morphing relay: constants, so
+  // nothing bumps or exports them and they always read 0.  They stay only
+  // because the benchmark harness still reads them for its
+  // sync.requeues_per_op and sync.handoffs_per_op metrics; a later
+  // benchmark change drops them together with those two metrics.
+  static constexpr std::uint64_t requeues = 0;
+  static constexpr std::uint64_t handoffs = 0;
 
   // Visit every counter as (name, member pointer): single source of truth
   // for counters.h and the metrics exporters.
@@ -37,16 +40,14 @@ struct WakeStats : counters::Family<WakeStats> {
     fn("spin_rounds", &WakeStats::spin_rounds);
     fn("parks_avoided", &WakeStats::parks_avoided);
     fn("parks", &WakeStats::parks);
-    fn("requeues", &WakeStats::requeues);
-    fn("handoffs", &WakeStats::handoffs);
   }
 };
 
 namespace detail {
 
 // The process-wide storage, on its own cache line; any thread bumps it with
-// counters::add.  Mutations happen on slow paths only (a spin, a park, a
-// morph requeue/advance), so a shared line is cheaper than per-thread slots
+// counters::add.  Mutations happen on slow paths only (a spin, a park),
+// so a shared line is cheaper than per-thread slots
 // plus a registry.
 inline WakeStats& wake_counters() noexcept {
   alignas(kCacheLine) static WakeStats c;

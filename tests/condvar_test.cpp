@@ -419,6 +419,44 @@ TEST(LegacyCv, NotifyAllWithPredicates) {
   EXPECT_EQ(done.load(), 3);
 }
 
+// notify_all issued while the notifier holds the mutex: every waiter wakes
+// from one notify, and each wait returns with the mutex re-acquired, so the
+// woken threads run their post-wait sections one at a time.
+TEST(LegacyCv, NotifyAllUnderLockWakesEveryWaiterHoldingTheLock) {
+  constexpr int kWaiters = 4;
+  condition_variable cv;
+  std::mutex m;
+  bool go = false;
+  int awake = 0;               // guarded by m
+  std::atomic<int> inside{0};  // waiters past their wait right now
+  std::vector<std::thread> threads;
+  threads.reserve(kWaiters);
+  for (int i = 0; i < kWaiters; ++i) {
+    threads.emplace_back([&] {
+      std::unique_lock<std::mutex> lk(m);
+      while (!go) cv.wait(lk);
+      EXPECT_TRUE(lk.owns_lock());
+      EXPECT_EQ(inside.fetch_add(1), 0) << "two waiters hold the lock";
+      ++awake;
+      std::this_thread::yield();  // widen the window for an overlap
+      inside.fetch_sub(1);
+    });
+  }
+  while (cv.raw().waiter_count() < kWaiters) std::this_thread::yield();
+  {
+    std::unique_lock<std::mutex> lk(m);
+    go = true;
+    cv.notify_all();
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(awake, kWaiters);
+  EXPECT_EQ(cv.raw().waiter_count(), 0u);
+  const CondVarStats s = cv.raw().stats();
+  EXPECT_EQ(s.notify_all_calls, 1u);  // the one notify woke them all
+  EXPECT_EQ(s.threads_woken, static_cast<std::uint64_t>(kWaiters));
+  EXPECT_EQ(s.waits, static_cast<std::uint64_t>(kWaiters));
+}
+
 TEST(CondVar, StatsCountersTrackOperations) {
   CondVar cv;
   // Lost notifies on an empty queue.

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "backend_param.h"
 #include "core/condvar.h"
@@ -134,6 +135,45 @@ TEST(LegacyCvTimed, StdStyleWaitForWithPredicate) {
   EXPECT_TRUE(cv.wait_for(lk, 10s, [&] { return flag; }));
   lk.unlock();
   setter.join();
+}
+
+// Timed waiters woken by one notify_all issued under the held mutex: each
+// wait_for returns `notified` exactly once, none times out, and the queue
+// ends empty.
+TEST(LegacyCvTimed, NotifyAllUnderLockReturnsNotifiedExactlyOnce) {
+  constexpr int kWaiters = 3;
+  condition_variable cv;
+  std::mutex m;
+  bool go = false;
+  int notified = 0;   // guarded by m
+  int timed_out = 0;  // guarded by m
+  std::vector<std::thread> threads;
+  threads.reserve(kWaiters);
+  for (int i = 0; i < kWaiters; ++i) {
+    threads.emplace_back([&] {
+      std::unique_lock<std::mutex> lk(m);
+      while (!go) {
+        if (cv.wait_for(lk, 30s))
+          ++notified;
+        else
+          ++timed_out;
+      }
+    });
+  }
+  while (cv.raw().waiter_count() < kWaiters) std::this_thread::yield();
+  {
+    std::unique_lock<std::mutex> lk(m);
+    go = true;
+    cv.notify_all();
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(notified, kWaiters);
+  EXPECT_EQ(timed_out, 0);
+  EXPECT_EQ(cv.raw().waiter_count(), 0u);
+  const CondVarStats s = cv.raw().stats();
+  EXPECT_EQ(s.timed_waits, static_cast<std::uint64_t>(kWaiters));
+  EXPECT_EQ(s.waits, static_cast<std::uint64_t>(kWaiters));
+  EXPECT_EQ(s.timeouts, 0u);
 }
 
 class TimedTx : public test::BackendParamTest {};

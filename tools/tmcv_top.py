@@ -128,16 +128,12 @@ def waiting_rows(waitgraph):
                      if isinstance(s, dict)}
     rows = []
     for i, t in enumerate(waiting):
-        tags = []
-        if t.get("slot") in suspect_slots:
-            tags.append("SUSPECT")
-        if t.get("relayed"):
-            tags.append("relayed")
+        tag = "SUSPECT" if t.get("slot") in suspect_slots else ""
         rows.append((i == 0,
                      "slot=%-3s tid=%-7s %-14s %-18s %8s  %s"
                      % (t.get("slot", "?"), t.get("os_tid", "?"),
                         t.get("reason", "?"), t.get("site", "?"),
-                        fmt_ns(t.get("age_ns", 0)), " ".join(tags))))
+                        fmt_ns(t.get("age_ns", 0)), tag)))
     return rows
 
 
@@ -329,11 +325,10 @@ _FIX_WAITGRAPH = {
         {"slot": 0, "os_tid": 100, "tm_slot": 0, "waiting": False},
         {"slot": 1, "os_tid": 101, "tm_slot": 1, "waiting": True,
          "reason": "condvar", "site": "cv.wait.enqueue", "site_id": 1,
-         "detail": 0, "target": "0x1000", "relayed": False,
-         "age_ns": 740000000},
+         "detail": 0, "target": "0x1000", "age_ns": 740000000},
         {"slot": 2, "os_tid": 102, "tm_slot": 2, "waiting": True,
          "reason": "orec", "site": "kv_set", "site_id": 3, "detail": 7,
-         "target": "0x2000", "relayed": False, "age_ns": 1200},
+         "target": "0x2000", "age_ns": 1200},
     ],
     "edges": [
         {"waiter_slot": 2, "waiter_tid": 102, "reason": "orec",

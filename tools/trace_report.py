@@ -37,11 +37,6 @@ process-wide: exact for single-condvar workloads (the herd bench), an
 approximation when several condvars interleave.  Timed-out waits are not
 modeled; run --causal on traces without timeouts.
 
---morph-strict additionally checks the wait-morphing property offline: a
-multi-waiter notify under a lock scope must make at most one waiter
-runnable per unlock, so the wakes matched to one notify must be serialized
-(strictly increasing end timestamps), never simultaneous.
-
 Only the standard library is used, so the script runs in minimal containers.
 """
 
@@ -420,41 +415,6 @@ def causal_report(doc, metrics=None):
     return violations, warnings
 
 
-def causal_morph_check(doc):
-    """Strict wait-morphing check: wakes matched to one multi-waiter notify
-    must have strictly increasing end timestamps (one runnable per unlock
-    implies serialization; simultaneous end stamps mean a herd stampede)."""
-    events = doc.get("traceEvents", [])
-    timeline = []
-    for ev in events:
-        name = ev.get("name")
-        if name == "cv.notify":
-            woken = event_arg(ev) or 0
-            timeline.append((ev["ts"], 0, woken))
-        elif name == "cv.wait" and ev.get("ph") == "X":
-            timeline.append((ev["ts"] + ev.get("dur", 0.0), 1, None))
-    timeline.sort(key=lambda t: (t[0], t[1]))
-    violations = []
-    open_notifies = []  # FIFO of [notify_ts, remaining, last_end, granted]
-    for when, kind, woken in timeline:
-        if kind == 0:
-            if woken > 0:
-                open_notifies.append([when, woken, None, woken])
-        elif open_notifies:
-            head = open_notifies[0]
-            if head[3] > 1 and head[2] is not None and when <= head[2]:
-                if len(violations) < 5:
-                    violations.append(
-                        "morph: wakes at t=%.3fus and t=%.3fus from the "
-                        "notify at t=%.3fus are not serialized"
-                        % (head[2], when, head[0]))
-            head[2] = when
-            head[1] -= 1
-            if head[1] == 0:
-                open_notifies.pop(0)
-    return violations
-
-
 # ---------------------------------------------------------------------------
 # --self-test: embedded fixtures exercised with no files and no third-party
 # imports, so CI can sanity-check the analyzer itself in a bare container.
@@ -480,9 +440,10 @@ _FIX_CAUSAL_BAD = {"traceEvents": [
      "args": {"arg": 1}},
 ]}
 
-# Two wakes from one multi-waiter notify ending at the same instant: a
-# stampede, which --morph-strict must reject (plain --causal accepts it).
-_FIX_MORPH_BAD = {"traceEvents": [
+# Two wakes from one multi-waiter notify ending at the same instant: every
+# victim of a notify is posted in one wake batch, so concurrent wakes are
+# legal and --causal must accept them.
+_FIX_CONCURRENT_WAKES = {"traceEvents": [
     {"name": "cv.notify", "ph": "i", "ts": 0.0, "pid": 1, "tid": 1, "s": "t",
      "args": {"arg": 2}},
     {"name": "cv.wait", "ph": "X", "ts": 0.0, "dur": 3.0, "pid": 1, "tid": 2},
@@ -522,7 +483,7 @@ def _fixture_flight():
                 {"slot": 1, "os_tid": 101, "tm_slot": 1, "waiting": True,
                  "reason": "condvar", "site": "cv.wait.enqueue",
                  "site_id": 1, "detail": 0, "target": "0x1000",
-                 "relayed": False, "age_ns": 505000000},
+                 "age_ns": 505000000},
             ],
             "edges": [
                 {"waiter_slot": 1, "waiter_tid": 101, "reason": "condvar",
@@ -570,15 +531,13 @@ def self_test():
         dropped_v, dropped_w = causal_report(
             _FIX_CAUSAL_BAD,
             metrics={"trace": {"per_thread_drops": {"0": 7}}})
-        morph_ok_v, _ = causal_report(_FIX_MORPH_BAD)
+        concurrent_v, _ = causal_report(_FIX_CONCURRENT_WAKES)
     check("causal passes conserving trace", not good_v)
     check("causal flags tokenless wake", bad_v)
     check("causal skips strict checks under drops",
           not dropped_v and dropped_w)
-    check("causal alone accepts stampede", not morph_ok_v)
-    check("morph-strict flags stampede", causal_morph_check(_FIX_MORPH_BAD))
-    check("morph-strict passes serialized wakes",
-          not causal_morph_check(_FIX_TRACE_OK))
+    check("causal accepts concurrent wakes from one notify",
+          not concurrent_v)
 
     flight = _fixture_flight()
     check("flight detector positive", is_flight(flight))
@@ -640,10 +599,6 @@ def main(argv=None):
     ap.add_argument("--causal", action="store_true",
                     help="reconstruct notify->wake edges, check token "
                          "conservation, report notify->run latency")
-    ap.add_argument("--morph-strict", action="store_true",
-                    help="with --causal: require the wakes of each "
-                         "multi-waiter notify to be serialized "
-                         "(wait-morphing property)")
     ap.add_argument("--metrics", default=None,
                     help="metrics JSON sibling (drop counts gate the strict "
                          "checks; notify_wake_ns cross-checks the latency)")
@@ -701,9 +656,7 @@ def main(argv=None):
             return 1
 
     if args.causal:
-        violations, _warnings = causal_report(doc, metrics=metrics)
-        if args.morph_strict and not _warnings:
-            violations += causal_morph_check(doc)
+        violations, _ = causal_report(doc, metrics=metrics)
         for v in violations:
             print("violation: %s" % v, file=sys.stderr)
         if violations:
