@@ -23,7 +23,8 @@
 // exactly.  `--storm-ms=N` injects a deterministic abort storm for the
 // first N ms (capacity-doomed hybrid transactions, see run_storm) -- the
 // watchdog-smoke CI job uses it to prove the abort-storm alert fires and
-// clears against live traffic.
+// clears against live traffic.  The storm needs hardware attempts, so under
+// the NOrec default it exits 2 unless --backend=eager|hybrid|htm is given.
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -285,6 +286,26 @@ int main(int argc, char** argv) {
   Config cfg;
   if (const int rc = parse_args(argc, argv, cfg); rc != 0) return rc;
 
+  if (cfg.backend != nullptr) {
+    tmcv::tm::Backend b{};
+    if (!tmcv::tm::backend_from_label(cfg.backend, b)) {
+      std::fprintf(stderr, "kv_loadgen: unknown --backend '%s'\n",
+                   cfg.backend);
+      return 2;
+    }
+    tmcv::tm::set_default_backend(b);
+  }
+  // Under a NOrec default every transaction runs NOrec, whose write set has
+  // no hardware capacity to overflow: the storm would inject nothing.
+  if (cfg.storm_ms > 0 &&
+      tmcv::tm::default_backend() == tmcv::tm::Backend::NOrec) {
+    std::fprintf(stderr,
+                 "kv_loadgen: --storm-ms needs hardware attempts, which a "
+                 "NOrec default never makes; pass "
+                 "--backend=eager|hybrid|htm\n");
+    return 2;
+  }
+
   // Observability stack, outermost first: the watchdog needs history to
   // ride on, and judges latency + attribution signals, so it turns those
   // capture layers on (trace too, so an alert-triggered flight dump has
@@ -310,16 +331,6 @@ int main(int argc, char** argv) {
     tmcv::obs::watchdog().start(
         std::move(rules),
         cfg.watchdog_dump != nullptr ? cfg.watchdog_dump : "");
-  }
-
-  if (cfg.backend != nullptr) {
-    tmcv::tm::Backend b{};
-    if (!tmcv::tm::backend_from_label(cfg.backend, b)) {
-      std::fprintf(stderr, "kv_loadgen: unknown --backend '%s'\n",
-                   cfg.backend);
-      return 2;
-    }
-    tmcv::tm::set_default_backend(b);
   }
 
   const bool embedded = cfg.connect_port < 0;

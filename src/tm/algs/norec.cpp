@@ -5,7 +5,7 @@
 // snapshot.  When it has moved, the read log is revalidated BY VALUE: each
 // address is re-read and compared, so writes that restored the old value
 // ("silent stores") don't abort anyone.  Writes buffer in the shared redo
-// log (write_lazy); commit CASes the counter even->odd, writes back while
+// log (redo_append); commit CASes the counter even->odd, writes back while
 // holding it, and releases with +2.  No ownership records are touched, so
 // an uncontended read costs one data load plus one shared counter load --
 // no stripe hash, no orec probe, no recheck.

@@ -1,6 +1,6 @@
 // EagerSTM write barrier and commit protocol (also used by the HTM
 // emulation, which layers capacity/chaos/syscall aborts on top).
-// Encounter-time locking, write-through with an undo log: write_word and
+// Encounter-time locking, write-through with an undo log: write_word_slow and
 // commit_top route Backend::EagerSTM and Backend::HTM here.
 #include "tm/descriptor.h"
 #include "tm/clock.h"

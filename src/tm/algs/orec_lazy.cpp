@@ -1,43 +1,13 @@
-// LazySTM (TL2-style) write barrier and commit protocol: redo logging,
-// commit-time orec acquisition, write-back on success.  The redo-log write
-// barrier is shared with NOrec (same buffering semantics; NOrec just never
-// touches the orecs at commit).
+// LazySTM (TL2-style) commit protocol: commit-time orec acquisition,
+// write-back on success.  Its write barrier is NOrec's redo-log append
+// (TxDescriptor::redo_append): the buffering is the same, and NOrec just
+// never touches the orecs at commit.
 #include <algorithm>
 
 #include "tm/descriptor.h"
 #include "tm/clock.h"
 
 namespace tmcv::tm {
-
-void TxDescriptor::write_lazy(std::atomic<std::uint64_t>* addr,
-                              std::uint64_t value) {
-  // Append-only redo log: a repeated write appends a second entry instead of
-  // seeking and updating the first, so the store fast path is a plain
-  // push_back.  Lookups still resolve to the newest write -- find_redo scans
-  // newest-first and the index upsert repoints at the latest entry -- and
-  // commit write-back replays the log in program order, so the last write
-  // wins there too.  Duplicate entries cost one extra write-back store and
-  // an own-lock check at acquisition, both far cheaper than a per-store
-  // lookup.
-  const auto idx = static_cast<std::uint32_t>(redo_log_.size());
-  redo_log_.push_back(RedoEntry{addr, value});
-  if (redo_indexed_) {
-    if (redo_index_.upsert(addr, idx))
-      counters::bump(stats_.log_index_rehashes);
-  } else if (redo_log_.size() > kRedoIndexThreshold) {
-    build_redo_index();
-  }
-}
-
-void TxDescriptor::build_redo_index() {
-  // The write set outgrew the linear scan; index every live entry once and
-  // switch find_redo to O(1) for the rest of the transaction.  (The index
-  // was reset for this log epoch at begin, so plain inserts suffice.)
-  for (std::uint32_t i = 0; i < redo_log_.size(); ++i)
-    if (redo_index_.upsert(redo_log_[i].addr, i))
-      counters::bump(stats_.log_index_rehashes);
-  redo_indexed_ = true;
-}
 
 void TxDescriptor::commit_lazy() {
   if (redo_log_.empty()) {

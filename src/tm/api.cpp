@@ -11,11 +11,15 @@ namespace tmcv::tm {
 
 namespace {
 
-std::atomic<Backend> g_default_backend{Backend::EagerSTM};
+// NOrec is the default: the condvar transactions read a handful of words,
+// so value validation is cheap, and commit-time write-back does not abort
+// the other end of a queue the way encounter-time orec locking does
+// (EXPERIMENTS.md, "NOrec default").
+std::atomic<Backend> g_default_backend{Backend::NOrec};
 
 // TMCV_DEFAULT_BACKEND=eager|lazy|htm|hybrid|norec seeds the process-wide
-// default before main() (the CI matrix uses norec to run the whole test
-// suite value-validated).  A plain store is safe here because no thread,
+// default before main() (the CI matrix uses eager to run the whole test
+// suite on the orec family).  A plain store is safe here because no thread,
 // hence no transaction, exists yet; every later change goes through
 // set_default_backend.  Unknown values are ignored -- a typo'd env var must
 // not change TM semantics silently mid-fleet, and the benches print the

@@ -241,8 +241,10 @@ void TxDescriptor::begin_top(Backend b, std::uint32_t depth) {
   split_done_ = false;
   // NOrec snapshots the global commit counter (even value); the orec family
   // snapshots the version clock.
-  start_time_ = b == Backend::NOrec ? algs::norec_begin_snapshot()
-                                    : g_clock.now();
+  if (b == Backend::NOrec) [[likely]]
+    start_time_ = algs::norec_begin_snapshot();
+  else
+    start_time_ = g_clock.now();
   new_log_epoch();
 #if TMCV_TRACE
   txn_begin_ticks_ = obs::region_begin();
@@ -264,17 +266,17 @@ void TxDescriptor::new_log_epoch() noexcept {
 }
 
 void TxDescriptor::commit_top() {
-  if (state_ == TxState::Idle) {
+  if (state_ != TxState::Optimistic) [[unlikely]] {
+    if (state_ == TxState::Serial) {
+      commit_serial();
+      return;
+    }
     // A split (early-committed) transaction already completed; nothing to do.
     TMCV_ASSERT_MSG(split_done_, "commit_top outside a transaction");
     split_done_ = false;
     return;
   }
-  if (state_ == TxState::Serial) {
-    commit_serial();
-    return;
-  }
-  if (backend_ == Backend::NOrec)
+  if (backend_ == Backend::NOrec) [[likely]]
     commit_norec();
   else if (backend_ == Backend::LazySTM)
     commit_lazy();
@@ -508,8 +510,8 @@ std::uint64_t TxDescriptor::read_optimistic(
 // Writes
 // ---------------------------------------------------------------------------
 
-void TxDescriptor::write_word(std::atomic<std::uint64_t>* addr,
-                              std::uint64_t value) {
+void TxDescriptor::write_word_slow(std::atomic<std::uint64_t>* addr,
+                                   std::uint64_t value) {
   switch (state_) {
     case TxState::Idle:
       TMCV_ASSERT_MSG(!split_done_,
@@ -524,15 +526,16 @@ void TxDescriptor::write_word(std::atomic<std::uint64_t>* addr,
     case TxState::Optimistic:
       break;
   }
+  // An optimistic NOrec write never gets here: write_word appends it inline.
   counters::bump(stats_.writes);
-  if (backend_ == Backend::EagerSTM || backend_ == Backend::HTM)
-    write_eager(addr, value);  // write-through, undo log
+  if (backend_ == Backend::LazySTM)
+    redo_append(addr, value);
   else
-    write_lazy(addr, value);  // LazySTM, NOrec: redo log
+    write_eager(addr, value);  // EagerSTM, HTM: write-through, undo log
 }
 
-// The write barriers and commit protocols live in tm/algs/ (orec_eager.cpp,
-// orec_lazy.cpp, norec.cpp).
+// The eager write barrier and the commit protocols live in tm/algs/
+// (orec_eager.cpp, orec_lazy.cpp, norec.cpp).
 
 // ---------------------------------------------------------------------------
 // Commit / abort
@@ -724,6 +727,22 @@ void TxDescriptor::read_set_grow() {
   rs_base_ = rs_storage_.get();
   rs_end_ = rs_base_ + live;
   rs_cap_ = rs_base_ + (new_cap - 1);
+}
+
+void TxDescriptor::index_redo_tail() {
+  if (redo_indexed_) {
+    const auto idx = static_cast<std::uint32_t>(redo_log_.size() - 1);
+    if (redo_index_.upsert(redo_log_[idx].addr, idx))
+      counters::bump(stats_.log_index_rehashes);
+    return;
+  }
+  // The write set just outgrew the linear scan; index every live entry once
+  // and switch find_redo to O(1) for the rest of the transaction.  (The
+  // index was reset for this log epoch at begin, so plain inserts suffice.)
+  for (std::uint32_t i = 0; i < redo_log_.size(); ++i)
+    if (redo_index_.upsert(redo_log_[i].addr, i))
+      counters::bump(stats_.log_index_rehashes);
+  redo_indexed_ = true;
 }
 
 void TxDescriptor::note_lock(Orec* o, OrecWord prior) {

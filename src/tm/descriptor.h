@@ -1,9 +1,9 @@
 // Per-thread transaction descriptor: the engine behind tm::atomically.
 //
-// One descriptor exists per thread (thread_local).  It implements three
-// optimistic backends over the same orec table and version clock, plus
-// NOrec (tm/algs/norec.h), selected per transaction by branching on
-// backend_:
+// One descriptor exists per thread (thread_local).  It implements NOrec
+// (tm/algs/norec.h), the process default and the straight-line path of
+// every barrier, plus three optimistic backends over a shared orec table
+// and version clock, selected per transaction by branching on backend_:
 //
 //   EagerSTM -- the paper's "Westmere" configuration: GCC ml_wt stand-in.
 //               Encounter-time locking, write-through with an undo log.
@@ -150,9 +150,10 @@ class TxDescriptor {
 
   // ---- data access ----
 
-  // Defined inline below: the optimistic-read fast path (orec probe, value
-  // load, recheck, dedup-filter hit) compiles into the caller; everything
-  // else tail-calls the out-of-line protocol.
+  // Defined inline below: the NOrec read and write barriers and the eager
+  // read fast path (orec probe, value load, recheck, dedup-filter hit)
+  // compile into the caller; everything else calls the out-of-line
+  // protocol.
   [[nodiscard]] std::uint64_t read_word(const std::atomic<std::uint64_t>* addr);
   void write_word(std::atomic<std::uint64_t>* addr, std::uint64_t value);
 
@@ -317,6 +318,10 @@ class TxDescriptor {
   [[nodiscard]] std::uint64_t read_word_slow(
       const std::atomic<std::uint64_t>* addr);
 
+  // Every write but an optimistic NOrec one: Idle, Serial, the orec family
+  // and HTM.
+  void write_word_slow(std::atomic<std::uint64_t>* addr, std::uint64_t value);
+
   // ---- redo-log hash index ----
   //
   // Open-addressed, inline-storage map from a key pointer to a log index,
@@ -414,7 +419,8 @@ class TxDescriptor {
   [[nodiscard]] std::uint64_t read_optimistic(
       const std::atomic<std::uint64_t>* addr);
   void write_eager(std::atomic<std::uint64_t>* addr, std::uint64_t value);
-  void write_lazy(std::atomic<std::uint64_t>* addr, std::uint64_t value);
+  // The redo-log write barrier of NOrec and LazySTM (defined inline below).
+  void redo_append(std::atomic<std::uint64_t>* addr, std::uint64_t value);
   void commit_eager();
   void commit_lazy();
   void commit_norec();
@@ -451,8 +457,9 @@ class TxDescriptor {
   [[nodiscard]] RedoEntry* find_redo(
       const std::atomic<std::uint64_t>* addr) noexcept;
 
-  // Index every live redo entry once the write set outgrows the linear scan.
-  void build_redo_index();
+  // Index the newest redo entry, or every live one when the write set has
+  // just outgrown the linear scan (redo_append's cold tail).
+  void index_redo_tail();
 
   // Bounded, jittered wait for a locked orec during commit-time acquisition
   // (the "polite" alternative to abort-on-sight).  Returns the last word
@@ -595,34 +602,35 @@ inline TxDescriptor::RedoEntry* TxDescriptor::find_redo(
   return i == LogIndex::kNpos ? nullptr : &redo_log_[i];
 }
 
-// The read fast path.  Straight-line for the overwhelmingly common case (an
-// unlocked, in-snapshot stripe already noted in the dedup filter): one orec
-// probe, the value load, the recheck, one filter compare.  Anything unusual
-// -- locked stripe, snapshot extension, HTM accounting, filter miss, Serial
-// or Idle context -- leaves through an out-of-line call.
+// The read barrier.  NOrec, the default backend, comes first: a
+// read-after-write from the redo log, otherwise a plain value load that is
+// consistent iff the global counter still matches the snapshot -- no orec
+// probe, no recheck, no stripe hashing.  The eager path after it is
+// straight-line for its common case (an unlocked, in-snapshot stripe
+// already noted in the dedup filter): one orec probe, the value load, the
+// recheck, one filter compare.  Anything unusual -- a moved NOrec counter,
+// locked stripe, snapshot extension, HTM accounting, filter miss, Serial or
+// Idle context -- leaves through an out-of-line call.
 inline std::uint64_t TxDescriptor::read_word(
     const std::atomic<std::uint64_t>* addr) {
   if (state_ != TxState::Optimistic) [[unlikely]]
     return read_word_slow(addr);
+  if (backend_ == Backend::NOrec) [[likely]] {
+    if (!redo_log_.empty())
+      if (const RedoEntry* e = find_redo(addr)) return e->value;
+    const std::uint64_t value = addr->load(std::memory_order_acquire);
+    if (algs::norec_clock().load(std::memory_order_acquire) == start_time_)
+        [[likely]] {
+      counters::bump(stats_.reads);
+      norec_reads_.push_back({addr, value});
+      return value;
+    }
+    return read_norec_slow(addr);
+  }
   if (backend_ != Backend::EagerSTM) [[unlikely]] {
     // HTM models chaos aborts and a footprint cap on every read: keep the
     // whole protocol out-of-line.
     if (backend_ == Backend::HTM) return read_optimistic(addr);
-    if (backend_ == Backend::NOrec) {
-      // NOrec: read-after-write from the redo log, otherwise a plain value
-      // load that is consistent iff the global counter still matches the
-      // snapshot -- no orec probe, no recheck, no stripe hashing.
-      if (!redo_log_.empty())
-        if (const RedoEntry* e = find_redo(addr)) return e->value;
-      const std::uint64_t value = addr->load(std::memory_order_acquire);
-      if (algs::norec_clock().load(std::memory_order_acquire) ==
-          start_time_) [[likely]] {
-        counters::bump(stats_.reads);
-        norec_reads_.push_back({addr, value});
-        return value;
-      }
-      return read_norec_slow(addr);
-    }
     // LazySTM: reads-after-writes come from the redo log.
     if (const RedoEntry* e = find_redo(addr)) return e->value;
   }
@@ -645,6 +653,33 @@ inline std::uint64_t TxDescriptor::read_word(
   // revalidation -- skipping the duplicate entry loses no validation.
   note_read(&o, seen, idx);
   return value;
+}
+
+// The write barrier: an optimistic NOrec write is one redo-log append.
+inline void TxDescriptor::write_word(std::atomic<std::uint64_t>* addr,
+                                     std::uint64_t value) {
+  if (state_ == TxState::Optimistic && backend_ == Backend::NOrec)
+      [[likely]] {
+    counters::bump(stats_.writes);
+    redo_append(addr, value);
+    return;
+  }
+  write_word_slow(addr, value);
+}
+
+// Append-only redo log: a repeated write appends a second entry instead of
+// seeking and updating the first, so the store fast path is a plain
+// push_back.  Lookups still resolve to the newest write -- find_redo scans
+// newest-first and the index upsert repoints at the latest entry -- and
+// commit write-back replays the log in program order, so the last write
+// wins there too.  Duplicate entries cost one extra write-back store (and,
+// for LazySTM, an own-lock check at acquisition), both far cheaper than a
+// per-store lookup.
+inline void TxDescriptor::redo_append(std::atomic<std::uint64_t>* addr,
+                                      std::uint64_t value) {
+  redo_log_.push_back(RedoEntry{addr, value});
+  if (redo_indexed_ || redo_log_.size() > kRedoIndexThreshold) [[unlikely]]
+    index_redo_tail();
 }
 
 // The process-wide epoch word (owned by the GC; announced by descriptors).

@@ -1,10 +1,11 @@
-// Pins the process-default TM backend for a test binary, overriding the
-// TMCV_DEFAULT_BACKEND environment seed (the CI norec matrix leg exports
-// it for the whole suite).  Tests that assert orec- or HTM-specific
-// mechanics -- fastpath read-set shapes, HTM capacity/chaos/hysteresis,
-// hybrid fallback budgets -- include this header: under a NOrec default
-// the family override coerces every transaction to NOrec, so those
-// mechanics never engage and their assertions are vacuously wrong.
+// Pins the process-default TM backend for a test binary to EagerSTM,
+// overriding both the compiled-in NOrec default and the
+// TMCV_DEFAULT_BACKEND environment seed (the CI eager matrix leg exports it
+// for the whole suite).  Tests that assert orec- or HTM-specific mechanics
+// -- fastpath read-set shapes, HTM capacity/chaos/hysteresis, hybrid
+// fallback budgets -- include this header: under a NOrec default the
+// family override coerces every transaction to NOrec, so those mechanics
+// never engage and their assertions are vacuously wrong.
 //
 // Implemented as a gtest global Environment (not a static initializer):
 // SetUp runs inside RUN_ALL_TESTS, deterministically after every TU's

@@ -1,6 +1,6 @@
 // A value-parameterised fixture that runs each test with the process
 // default backend set to GetParam() and restores the default it found on
-// exit, so a whole-suite TMCV_DEFAULT_BACKEND run (the CI norec leg) keeps
+// exit, so a whole-suite TMCV_DEFAULT_BACKEND run (the CI eager leg) keeps
 // its backend for every test that follows.
 #pragma once
 

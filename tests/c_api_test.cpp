@@ -114,8 +114,8 @@ TEST(CApi, TimedWaitSucceedsWhenSignaled) {
 }
 
 TEST(CApi, BackendSelection) {
-  // Initial default depends on TMCV_DEFAULT_BACKEND (the CI matrix runs a
-  // norec leg), so capture-and-restore instead of asserting it.
+  // Initial default depends on TMCV_DEFAULT_BACKEND (the CI matrix runs an
+  // eager leg), so capture-and-restore instead of asserting it.
   const std::string initial = tmcv_tm_get_backend();
   EXPECT_EQ(tmcv_tm_set_backend("norec"), 0);
   EXPECT_STREQ(tmcv_tm_get_backend(), "norec");

@@ -129,12 +129,19 @@ TEST(TmRetryGuards, RetryWaitOutsideTransactionAsserts) {
 TEST(TmRetryStats, RetriesCountAsAborts) {
   stats_reset();
   var<bool> flag(false);
+  std::atomic<bool> saw_false{false};
   std::thread waiter([&] {
     atomically([&] {
-      if (!flag.load()) retry_wait();
+      if (!flag.load()) {
+        saw_false.store(true);
+        retry_wait();
+      }
     });
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Once the waiter has read the flag false, its attempt ends in retry_wait,
+  // which always aborts.  A fixed sleep here let a loaded host set the flag
+  // before the waiter ran, and then nothing aborted.
+  while (!saw_false.load()) std::this_thread::yield();
   atomically([&] { flag.store(true); });
   waiter.join();
   EXPECT_GE(stats_snapshot().aborts, 1u);

@@ -5,13 +5,16 @@
 // -> norec -> eager -- tokens are conserved, no wakeup is lost, and the
 // Stats fold is exact across the switch quiescence points (the per-backend
 // abort matrix must sum to the scalar abort counter no matter where the
-// switches landed).
+// switches landed).  The TmDefault cases check the compiled-in NOrec
+// default, its environment seed, and that an HTM section set and restored
+// the way run_figure does it runs hardware attempts under a NOrec default.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <iterator>
 #include <mutex>
 #include <thread>
@@ -28,6 +31,55 @@ namespace tmcv {
 namespace {
 
 using tm::Backend;
+
+// The process default as static initialisation left it (this case runs
+// first, and every later case restores the default it found): NOrec when
+// TMCV_DEFAULT_BACKEND is unset or empty, the named backend when it is set.
+// ctest runs this case twice: once in tm_switch_test under the caller's
+// environment, and once as tm_default_env_test with the variable set to
+// eager.
+TEST(TmDefault, CompiledInNOrecUnlessEnvironmentNamesOne) {
+  const char* env = std::getenv("TMCV_DEFAULT_BACKEND");
+  if (env == nullptr || *env == '\0')
+    EXPECT_EQ(tm::default_backend(), Backend::NOrec);
+  else
+    EXPECT_STREQ(tm::backend_label(tm::default_backend()), env);
+}
+
+// Figure 2 under a NOrec default: run_figure (bench/figure_common.h) sets
+// HTM for its section and restores the default it found.  Inside the
+// section transactions make hardware attempts, since only a NOrec default
+// coerces requests to NOrec, and after it NOrec runs again.
+TEST(TmDefault, FigureSectionRunsHtmThenRestoresNOrec) {
+  const Backend saved = tm::default_backend();
+  tm::set_default_backend(Backend::NOrec);
+
+  tm::var<int> x(0);
+  // The backend of the attempt that committed, or Hybrid for a serial one.
+  const auto committed_on = [&] {
+    Backend ran = Backend::Hybrid;
+    tm::atomically([&] {
+      const tm::TxDescriptor& d = tm::descriptor();
+      ran = d.state() == tm::TxState::Optimistic ? d.backend()
+                                                  : Backend::Hybrid;
+      x.store(x.load() + 1);
+    });
+    return ran;
+  };
+
+  const Backend prior = tm::default_backend();
+  tm::set_default_backend(Backend::HTM);
+  int htm_commits = 0;
+  for (int i = 0; i < 100; ++i) htm_commits += committed_on() == Backend::HTM;
+  tm::set_default_backend(prior);
+
+  EXPECT_GT(htm_commits, 0);
+  EXPECT_EQ(tm::default_backend(), Backend::NOrec);
+  EXPECT_EQ(committed_on(), Backend::NOrec);
+  EXPECT_EQ(x.load_plain(), 101);
+
+  tm::set_default_backend(saved);
+}
 
 TEST(TmSwitch, QuiescedSwitchChangesDefault) {
   const Backend saved = tm::default_backend();
@@ -68,11 +120,14 @@ TEST(TmSwitch, SwitchWaitsForInFlightTransaction) {
 
   std::atomic<bool> calling{false};
   std::atomic<bool> returned{false};
-  bool committed_at_return = false;
+  // Read at return: the transaction was let go before the switch returned.
+  // (`committed` is no witness here: it is set after atomically returns,
+  // which is after the drain point, so a switch may legally return first.)
+  bool released_at_return = false;
   std::thread switcher([&] {
     calling.store(true);
     tm::set_default_backend(Backend::NOrec);
-    committed_at_return = committed.load();
+    released_at_return = release.load();
     returned.store(true);
   });
   while (!calling.load()) std::this_thread::yield();
@@ -82,7 +137,8 @@ TEST(TmSwitch, SwitchWaitsForInFlightTransaction) {
   release.store(true);
   txn.join();
   switcher.join();
-  EXPECT_TRUE(committed_at_return);
+  EXPECT_TRUE(released_at_return);
+  EXPECT_TRUE(committed.load());
   EXPECT_EQ(tm::default_backend(), Backend::NOrec);
   EXPECT_EQ(x.load_plain(), 1);
 
