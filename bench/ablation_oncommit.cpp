@@ -80,8 +80,7 @@ int main() {
               "(%d tokens)\n\n", kTokens);
   std::printf("%-12s %26s %26s\n", "backend", "deferred (in-txn), tok/ms",
               "immediate (post-txn), tok/ms");
-  for (tm::Backend b :
-       {tm::Backend::EagerSTM, tm::Backend::LazySTM, tm::Backend::HTM}) {
+  for (tm::Backend b : {tm::Backend::EagerSTM, tm::Backend::HTM}) {
     const double t_def = run(b, /*deferred=*/true, kTokens);
     const double t_imm = run(b, /*deferred=*/false, kTokens);
     std::printf("%-12s %26.1f %26.1f\n", tm::to_string(b),

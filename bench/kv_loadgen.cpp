@@ -267,7 +267,7 @@ int parse_args(int argc, char** argv, Config& cfg) {
           "          [--serve-metrics[=PORT]] [--hold-ms=N]\n"
           "          [--history[=MS]] [--watchdog[=DUMP.json]]\n"
           "          [--watchdog-abort-ratio=F] [--storm-ms=N]\n"
-          "          [--backend=eager|lazy|htm|hybrid|norec]\n",
+          "          [--backend=eager|htm|hybrid|norec]\n",
           argv[0]);
       return 2;
     }

@@ -56,19 +56,18 @@ std::string metrics_path_for(const char* out_path) {
 // Each transaction reads a few zipf-hot stripes (live validation traffic),
 // blind-writes a large zipfian write set, and bumps one private counter (the
 // serializability canary), so most commits fight over a handful of hot
-// stripes: commit-time lock conflicts, clock-line traffic, and validation
-// extensions are the dominant costs -- exactly the path the contention
-// manager, polite orec acquisition, and the GV4 clock target.  The pick
+// stripes: encounter-time lock conflicts, clock-line traffic, and
+// validation extensions are the dominant costs -- exactly the path the
+// contention manager and the GV4 clock target.  The pick
 // sets are pre-drawn per thread so the timed loop measures the TM runtime,
 // not the zipf sampler.
 
 constexpr int kCwVars = 64;
 constexpr int kCwReads = 4;
-// Write sets this large keep a committer inside its commit-time lock window
-// for a meaningful slice of each transaction, so on an oversubscribed core
-// the scheduler regularly parks a thread mid-acquisition -- the scenario
-// that separates abort-on-sight (re-execute everything, repeatedly) from
-// polite bounded waiting (yield to the holder once and resume).
+// Write sets this large keep a writer holding stripe locks for a meaningful
+// slice of each transaction, so on an oversubscribed core the scheduler
+// regularly parks a thread that holds them -- the scenario the contention
+// manager's backoff and conflict-streak escalation must survive.
 constexpr int kCwWrites = 32;  // 1 counter RMW + (kCwWrites - 1) blind stores
 constexpr double kCwTheta = 0.9;  // zipf skew: ~35% of draws hit the top 4
 constexpr int kCwMaxThreads = 8;
@@ -146,7 +145,7 @@ void contended_txn(ContendedState& s, int tid, int seq) {
   // Picks are pre-drawn (outside the transaction), so a retry fights over
   // the same stripe set -- the worst case for naive conflict handling.
   const ContendedPickSet& p = s.picks[tid][seq & (kCwPickSets - 1)];
-  atomically(Backend::LazySTM, [&] {
+  atomically(Backend::EagerSTM, [&] {
     TMCV_TXN_SITE("zipf.update");
     std::uint64_t acc = 0;
     for (int r = 0; r < kCwReads; ++r) acc += s.arr[p.reads[r]]->load();
@@ -240,7 +239,6 @@ int run_json_contended_mode(const char* out_path) {
                "  \"aborts\": %llu,\n"
                "  \"serial_fallbacks\": %llu,\n"
                "  \"extensions\": %llu,\n"
-               "  \"cm_waits\": %llu,\n"
                "  \"cm_backoffs\": %llu,\n"
                "  \"cm_serial_escalations\": %llu,\n"
                "  \"clock_cas_reuses\": %llu,\n"
@@ -250,11 +248,11 @@ int run_json_contended_mode(const char* out_path) {
                "  \"aborts_explicit\": %llu,\n"
                "  \"aborts_retry_wait\": %llu\n"
                "}\n",
-               // The profile pins LazySTM and Hybrid; only a NOrec default
+               // The profile pins EagerSTM and Hybrid; only a NOrec default
                // reroutes them (resolve_backend).
-               resolve_backend(Backend::LazySTM) == Backend::NOrec
+               resolve_backend(Backend::EagerSTM) == Backend::NOrec
                    ? "norec"
-                   : "LazySTM+Hybrid",
+                   : "EagerSTM+Hybrid",
                tmcv_get_spin_budget(), kThreads, kTxnsPerThread, kCwWrites,
                kCwReads, kCwHeavyEvery, kCwHeavyWrites, kCwVars, kCwTheta,
                kReps, best,
@@ -265,7 +263,6 @@ int run_json_contended_mode(const char* out_path) {
                (unsigned long long)st.commits, (unsigned long long)st.aborts,
                (unsigned long long)st.serial_fallbacks,
                (unsigned long long)st.extensions,
-               (unsigned long long)st.cm_waits,
                (unsigned long long)st.cm_backoffs,
                (unsigned long long)st.cm_serial_escalations,
                (unsigned long long)st.clock_cas_reuses,
@@ -303,7 +300,7 @@ int main(int argc, char** argv) {
   //   --history[=MS]          time-series recorder at MS ms cadence (1000)
   //   --watchdog              SLO watchdog on default rules (implies
   //                           --history; enables timing + attribution)
-  //   --backend=NAME          eager|lazy|htm|hybrid|norec sets the process
+  //   --backend=NAME          eager|htm|hybrid|norec sets the process
   //                           default (tm::set_default_backend)
   bool serve = false;
   int serve_port = 0;
@@ -349,7 +346,7 @@ int main(int argc, char** argv) {
     if (!backend_from_label(backend_arg, b)) {
       std::fprintf(stderr,
                    "micro_tm: unknown --backend '%s' (want "
-                   "eager|lazy|htm|hybrid|norec)\n",
+                   "eager|htm|hybrid|norec)\n",
                    backend_arg);
       return 1;
     }

@@ -76,7 +76,7 @@ void scrape_app_counters_into(std::vector<AppCounter>& out);
 struct MetricsSnapshot {
   tm::Stats tm;        // folded over live + retired TM threads
   std::string tm_backend;  // default backend label at capture time
-                           // ("eager"/"lazy"/"htm"/"hybrid"/"norec")
+                           // ("eager"/"htm"/"hybrid"/"norec")
   CondVarStats cv;     // folded over live + destroyed condition variables
   WakeStats wake;      // process-wide spin/park counters
   std::uint64_t trace_events = 0;   // records retained across all rings
@@ -91,8 +91,7 @@ struct MetricsSnapshot {
   HistogramSnapshot txn_commit_ns;    // begin -> successful outermost commit
   HistogramSnapshot txn_abort_ns;     // begin -> abort (any reason)
   HistogramSnapshot serial_stall_ns;  // serial-fallback lock-acquire stall
-  HistogramSnapshot cm_backoff_ns;    // CM waits: polite orec wait +
-                                      // inter-retry backoff
+  HistogramSnapshot cm_backoff_ns;    // CM waits: inter-retry backoff
   HistogramSnapshot spin_park_ns;     // pre-park spin phase of slow waits
 };
 

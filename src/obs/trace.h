@@ -55,8 +55,8 @@ enum class Event : std::uint16_t {
   kSemPostBatch,        // instant: coalesced batch post; arg = batch size
   kSemSpin,             // complete: pre-park spin phase of a slow wait
                         // (whether or not it avoided the park)
-  kCmBackoff,           // complete: contention-manager wait (polite orec
-                        // wait or inter-retry backoff)
+  kCmBackoff,           // complete: contention-manager inter-retry
+                        // backoff
   kEventTypeCount,
 };
 

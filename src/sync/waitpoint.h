@@ -44,7 +44,8 @@ enum class WaitReason : std::uint8_t {
   kNone = 0,        // slot idle
   kCondVar,         // parked in CondVar::wait / wait_for / wait_at_commit
   kSemaphore,       // raw semaphore park outside any condvar wait
-  kOrec,            // polite wait for a locked orec stripe
+  kOrec,            // wait for a locked orec stripe (no producer today;
+                    // kept for the export ABI)
   kSerialQuiesce,   // serial-mode entry draining an active transaction
   kSerialLock,      // waiting for the serial lock itself to be released
 };

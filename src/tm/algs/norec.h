@@ -23,15 +23,22 @@ namespace tmcv::tm::algs {
 // norec.cpp for the CacheAligned definition).
 std::atomic<std::uint64_t>& norec_clock() noexcept;
 
-// An even snapshot of the counter: spins out any in-flight write-back
+// An even snapshot of the counter: waits out any in-flight write-back
 // first, so a beginning transaction never reads half-published values.
+// The wait spins for Backoff's few jittered rounds, then yields: a
+// committer descheduled mid-write-back needs this CPU to finish, and a
+// pure spin would hold every beginning transaction for its time slice.
 inline std::uint64_t norec_begin_snapshot() noexcept {
   auto& clk = norec_clock();
-  for (;;) {
-    const std::uint64_t t = clk.load(std::memory_order_acquire);
-    if ((t & 1ull) == 0) return t;
-    cpu_relax();
-  }
+  std::uint64_t t = clk.load(std::memory_order_acquire);
+  if ((t & 1ull) == 0) [[likely]]
+    return t;
+  Backoff backoff;
+  do {
+    backoff.wait();
+    t = clk.load(std::memory_order_acquire);
+  } while ((t & 1ull) != 0);
+  return t;
 }
 
 }  // namespace tmcv::tm::algs

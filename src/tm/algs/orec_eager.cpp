@@ -31,7 +31,7 @@ void TxDescriptor::write_eager(std::atomic<std::uint64_t>* addr,
     if (o.compare_exchange_strong(cur, make_locked(slot_),
                                   std::memory_order_acq_rel,
                                   std::memory_order_acquire)) {
-      note_lock(&o, cur);
+      lock_set_.push_back(&o);
       break;
     }
     // CAS lost a race; re-examine the new word.
@@ -55,8 +55,8 @@ void TxDescriptor::commit_eager() {
   // so the skip is never sound then (see VersionClock::tick).
   if ((t.reused || t.time != start_time_ + 1) && !reads_valid_orec())
     abort_restart(TxAbort::Reason::Conflict);
-  for (const LockEntry& e : lock_set_)
-    e.orec->store(make_version(t.time), std::memory_order_release);
+  for (Orec* o : lock_set_)
+    o->store(make_version(t.time), std::memory_order_release);
   reset_logs();
   bump_commit_signal();
 }

@@ -17,7 +17,7 @@ namespace {
 // (EXPERIMENTS.md, "NOrec default").
 std::atomic<Backend> g_default_backend{Backend::NOrec};
 
-// TMCV_DEFAULT_BACKEND=eager|lazy|htm|hybrid|norec seeds the process-wide
+// TMCV_DEFAULT_BACKEND=eager|htm|hybrid|norec seeds the process-wide
 // default before main() (the CI matrix uses eager to run the whole test
 // suite on the orec family).  A plain store is safe here because no thread,
 // hence no transaction, exists yet; every later change goes through
@@ -58,7 +58,7 @@ Backend default_backend() noexcept {
 
 Backend resolve_backend(Backend req) noexcept {
   if (default_backend() == Backend::NOrec) return Backend::NOrec;
-  if (req == Backend::NOrec) return Backend::LazySTM;
+  if (req == Backend::NOrec) return Backend::EagerSTM;
   return req;
 }
 

@@ -50,7 +50,7 @@ void set_default_backend(Backend b) noexcept;
 // must never overlap on shared data.  The rule: while the default is NOrec,
 // EVERY optimistic transaction (including explicit atomically(Backend::X)
 // requests) runs NOrec; while the default is an orec backend, an explicit
-// NOrec request is coerced to LazySTM (same redo-log write semantics).
+// NOrec request is coerced to EagerSTM, the orec family's software STM.
 // begin_top applies this after publishing activity, which makes it
 // race-free across every change of the default (set_default_backend).
 [[nodiscard]] Backend resolve_backend(Backend req) noexcept;

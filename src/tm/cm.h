@@ -26,7 +26,6 @@
 #include <cstdint>
 
 #include "util/backoff.h"
-#include "util/rng.h"
 
 namespace tmcv::tm {
 
@@ -49,9 +48,6 @@ struct TxAbort {
 // Retry budgets before escalating to the serial lock.
 inline constexpr int kStmAttemptsBeforeSerial = 64;
 inline constexpr int kHtmAttemptsBeforeSerial = 8;
-// Bounded polite-wait rounds on a locked orec during commit-time acquisition
-// before declaring a conflict.
-inline constexpr std::uint32_t kOrecWaitRounds = 8;
 
 // ---- policy knobs (process-wide; set between phases, read on abort paths) --
 
@@ -113,18 +109,8 @@ class ContentionManager {
   // (0 when it escalated to sched_yield).
   std::uint32_t backoff_before_retry() noexcept { return backoff_.wait(); }
 
-  // Uniform draw in [0, bound): jitter source for the polite orec wait.
-  [[nodiscard]] std::uint32_t jitter(std::uint32_t bound) noexcept {
-    return static_cast<std::uint32_t>(rng_.next() % bound);
-  }
-
  private:
   Backoff backoff_;  // self-seeded; escalates to sched_yield
-  // Self-seeded like Backoff: distinct descriptors must draw distinct
-  // jitter streams or the polite wait re-probes in lockstep.
-  SplitMix64 rng_{static_cast<std::uint64_t>(
-                      reinterpret_cast<std::uintptr_t>(this)) ^
-                  0x9e3779b97f4a7c15ULL};
   std::uint32_t conflict_streak_ = 0;
 };
 

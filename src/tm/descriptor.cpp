@@ -35,8 +35,6 @@ const char* to_string(Backend b) noexcept {
   switch (b) {
     case Backend::EagerSTM:
       return "EagerSTM";
-    case Backend::LazySTM:
-      return "LazySTM";
     case Backend::HTM:
       return "HTM";
     case Backend::NOrec:
@@ -57,8 +55,6 @@ const char* backend_label(Backend b) noexcept {
   switch (b) {
     case Backend::EagerSTM:
       return "eager";
-    case Backend::LazySTM:
-      return "lazy";
     case Backend::HTM:
       return "htm";
     case Backend::NOrec:
@@ -72,8 +68,6 @@ const char* backend_label(Backend b) noexcept {
 bool backend_from_label(const char* s, Backend& out) noexcept {
   if (std::strcmp(s, "eager") == 0)
     out = Backend::EagerSTM;
-  else if (std::strcmp(s, "lazy") == 0)
-    out = Backend::LazySTM;
   else if (std::strcmp(s, "htm") == 0)
     out = Backend::HTM;
   else if (std::strcmp(s, "hybrid") == 0)
@@ -278,8 +272,6 @@ void TxDescriptor::commit_top() {
   }
   if (backend_ == Backend::NOrec) [[likely]]
     commit_norec();
-  else if (backend_ == Backend::LazySTM)
-    commit_lazy();
   else
     commit_eager();  // EagerSTM, HTM
   state_ = TxState::Idle;
@@ -528,14 +520,11 @@ void TxDescriptor::write_word_slow(std::atomic<std::uint64_t>* addr,
   }
   // An optimistic NOrec write never gets here: write_word appends it inline.
   counters::bump(stats_.writes);
-  if (backend_ == Backend::LazySTM)
-    redo_append(addr, value);
-  else
-    write_eager(addr, value);  // EagerSTM, HTM: write-through, undo log
+  write_eager(addr, value);  // EagerSTM, HTM: write-through, undo log
 }
 
 // The eager write barrier and the commit protocols live in tm/algs/
-// (orec_eager.cpp, orec_lazy.cpp, norec.cpp).
+// (orec_eager.cpp, norec.cpp).
 
 // ---------------------------------------------------------------------------
 // Commit / abort
@@ -543,22 +532,19 @@ void TxDescriptor::write_word_slow(std::atomic<std::uint64_t>* addr,
 
 void TxDescriptor::rollback() noexcept {
   // Write-through backends (eager, HTM): undo in reverse so overlapping
-  // writes restore the oldest value last.  Redo-log backends (lazy, NOrec)
-  // publish nothing speculatively and never append to the undo log.
+  // writes restore the oldest value last.  NOrec publishes nothing
+  // speculatively and never locks a stripe or appends to the undo log.
   for (auto it = undo_log_.rbegin(); it != undo_log_.rend(); ++it)
     it->addr->store(it->old_value, std::memory_order_release);
-  if (undo_log_.empty()) {
-    // Nothing was published: release stripes back to their pre-lock words.
-    for (const LockEntry& e : lock_set_)
-      e.orec->store(e.prior, std::memory_order_release);
-  } else {
-    // A reader that loaded a speculative value between its two orec loads
-    // would accept it if the stripe came back with its pre-lock word (ABA).
-    // Release with a fresh timestamp instead: it exceeds every prior word,
-    // so that reader's recheck fails.
+  if (!lock_set_.empty()) {
+    // Every locked stripe was written through (write_eager logs the undo
+    // entry right after locking).  A reader that loaded a speculative value
+    // between its two orec loads would accept it if the stripe came back
+    // with its pre-lock word (ABA).  Release with a fresh timestamp instead:
+    // it exceeds every prior word, so that reader's recheck fails.
     const std::uint64_t t = g_clock.tick().time;
-    for (const LockEntry& e : lock_set_)
-      e.orec->store(make_version(t), std::memory_order_release);
+    for (Orec* o : lock_set_)
+      o->store(make_version(t), std::memory_order_release);
   }
   // A discarded notify releases nothing: the wake batch dies with the
   // transaction (Algorithm 5/6 abort semantics).
@@ -743,48 +729,6 @@ void TxDescriptor::index_redo_tail() {
     if (redo_index_.upsert(redo_log_[i].addr, i))
       counters::bump(stats_.log_index_rehashes);
   redo_indexed_ = true;
-}
-
-void TxDescriptor::note_lock(Orec* o, OrecWord prior) {
-  lock_set_.push_back(LockEntry{o, prior});
-}
-
-OrecWord TxDescriptor::wait_for_orec_unlock(Orec& o) noexcept {
-  counters::bump(stats_.cm_waits);
-#if TMCV_TRACE
-  const std::uint64_t t0 = obs::region_begin();
-#endif
-  OrecWord cur = o.load(std::memory_order_acquire);
-  // Publish the polite wait: target is the contested stripe, detail its
-  // index, and the site is the OWNER's transaction label (who we wait FOR;
-  // our own site is already on this descriptor).  Owner resolution is
-  // best-effort by design -- the lock word can change hands mid-wait.
-  std::uint16_t owner_site = 0;
-  if (orec_is_locked(cur)) {
-    if (const TxDescriptor* owner =
-            registry().descriptor(orec_owner_slot(cur)))
-      owner_site = owner->txn_site();
-  }
-  WaitScope wp(WaitReason::kOrec, &o, owner_site,
-               static_cast<std::uint32_t>(orec_index(o)));
-  for (std::uint32_t r = 0; r < kOrecWaitRounds && orec_is_locked(cur);
-       ++r) {
-    if (r < 2) {
-      // Short jittered spins first: commit-time holds are usually a few
-      // stores long, and jitter keeps simultaneous waiters from re-probing
-      // in lockstep.
-      const std::uint32_t spins = 1u + cm_.jitter(16u << r);
-      for (std::uint32_t i = 0; i < spins; ++i) cpu_relax();
-    } else {
-      // Oversubscribed machines: the holder needs the CPU to finish.
-      sched_yield();
-    }
-    cur = o.load(std::memory_order_acquire);
-  }
-#if TMCV_TRACE
-  obs::region_end(obs::Event::kCmBackoff, t0, &obs::hist_cm_backoff());
-#endif
-  return cur;
 }
 
 void TxDescriptor::backoff_for_retry() noexcept {

@@ -2,14 +2,12 @@
 //
 // One descriptor exists per thread (thread_local).  It implements NOrec
 // (tm/algs/norec.h), the process default and the straight-line path of
-// every barrier, plus three optimistic backends over a shared orec table
-// and version clock, selected per transaction by branching on backend_:
+// every barrier.  NOrec's redo log is the paper's §4.2 redo-log case.  Two
+// more optimistic backends share an orec table and version clock, selected
+// per transaction by branching on backend_:
 //
 //   EagerSTM -- the paper's "Westmere" configuration: GCC ml_wt stand-in.
 //               Encounter-time locking, write-through with an undo log.
-//   LazySTM  -- TL2-style redo logging: writes buffered, orecs acquired at
-//               commit, write-back on success.  Exercises the paper's §4.2
-//               redo-log discussion.
 //   HTM      -- the paper's "Haswell" configuration: best-effort bounded
 //               transactions.  Eager execution with hard capacity limits,
 //               no timestamp extension (first conflict aborts), explicit
@@ -44,7 +42,6 @@ namespace tmcv::tm {
 
 enum class Backend : std::uint8_t {
   EagerSTM,
-  LazySTM,
   HTM,
   // NOrec (Dalessandro/Spear/Scott): no ownership records at all.  Reads
   // are validated by value against a single global commit counter; writes
@@ -59,7 +56,7 @@ enum class Backend : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Backend b) noexcept;
 
-// Lowercase flag/metrics label ("eager", "lazy", "htm", "hybrid", "norec").
+// Lowercase flag/metrics label ("eager", "htm", "hybrid", "norec").
 [[nodiscard]] const char* backend_label(Backend b) noexcept;
 
 // Parse a lowercase label back to a Backend; false on unknown input.
@@ -252,10 +249,6 @@ class TxDescriptor {
     const Orec* orec;
     OrecWord seen;  // unlocked orec word observed at read time
   };
-  struct LockEntry {
-    Orec* orec;
-    OrecWord prior;  // unlocked word replaced by our lock
-  };
   struct UndoEntry {
     std::atomic<std::uint64_t>* addr;
     std::uint64_t old_value;
@@ -325,10 +318,10 @@ class TxDescriptor {
   // ---- redo-log hash index ----
   //
   // Open-addressed, inline-storage map from a key pointer to a log index,
-  // making find_redo O(1) for large write sets (LazySTM read-after-write
-  // was O(n^2)).  Small write sets never build it: find_redo scans the log
-  // directly until it outgrows kRedoIndexThreshold entries -- a handful of
-  // contiguous compares beats per-write hash maintenance.  Slots
+  // making find_redo O(1) for large write sets (a linear read-after-write
+  // scan is O(n^2)).  Small write sets never build it: find_redo scans the
+  // log directly until it outgrows kRedoIndexThreshold entries -- a handful
+  // of contiguous compares beats per-write hash maintenance.  Slots
   // are invalidated wholesale by epoch stamping: a slot belongs to the
   // current transaction iff its stamp equals the descriptor's log_epoch_,
   // so clearing between transactions is a single counter increment, never a
@@ -415,14 +408,13 @@ class TxDescriptor {
 
   // Backend-specific paths.  write_word, commit_top and reads_valid branch
   // on backend_ to reach them, as read_word does; the bodies live in
-  // tm/algs/{orec_eager,orec_lazy,norec}.cpp.
+  // tm/algs/{orec_eager,norec}.cpp.
   [[nodiscard]] std::uint64_t read_optimistic(
       const std::atomic<std::uint64_t>* addr);
   void write_eager(std::atomic<std::uint64_t>* addr, std::uint64_t value);
-  // The redo-log write barrier of NOrec and LazySTM (defined inline below).
+  // NOrec's redo-log write barrier (defined inline below).
   void redo_append(std::atomic<std::uint64_t>* addr, std::uint64_t value);
   void commit_eager();
-  void commit_lazy();
   void commit_norec();
   void rollback() noexcept;
 
@@ -440,7 +432,7 @@ class TxDescriptor {
   // read set; returns false on conflict.
   [[nodiscard]] bool extend();
 
-  // Generic snapshot validity: the orec loop for the eager/lazy/HTM family,
+  // Generic snapshot validity: the orec loop for the eager/HTM family,
   // a non-aborting value recheck for NOrec.  Must not abort or move
   // start_time_: retry_and_wait calls it before parking.
   [[nodiscard]] bool reads_valid() const noexcept;
@@ -460,15 +452,6 @@ class TxDescriptor {
   // Index the newest redo entry, or every live one when the write set has
   // just outgrown the linear scan (redo_append's cold tail).
   void index_redo_tail();
-
-  // Bounded, jittered wait for a locked orec during commit-time acquisition
-  // (the "polite" alternative to abort-on-sight).  Returns the last word
-  // observed -- still locked means the wait budget ran out.
-  [[nodiscard]] OrecWord wait_for_orec_unlock(Orec& o) noexcept;
-
-  // Append to the lock set (ownership itself is recorded in the orec word,
-  // so no index is maintained).
-  void note_lock(Orec* o, OrecWord prior);
 
   void reset_logs() noexcept;
   void run_commit_handlers();
@@ -502,13 +485,12 @@ class TxDescriptor {
   ReadEntry* rs_end_ = nullptr;
   ReadEntry* rs_cap_ = nullptr;
 
-  std::vector<LockEntry> lock_set_;
+  // Stripes this transaction locked (ownership itself is recorded in the
+  // orec word, so no index is maintained).
+  std::vector<Orec*> lock_set_;
   std::vector<UndoEntry> undo_log_;
   std::vector<RedoEntry> redo_log_;
   std::vector<NorecReadEntry> norec_reads_;
-  // Commit-time acquisition scratch: the write set's orecs, deduped and
-  // sorted into a global acquisition order (reused across transactions).
-  std::vector<Orec*> acquire_scratch_;
   std::vector<std::function<void()>> commit_handlers_;
   std::vector<std::function<void()>> abort_handlers_;
   // POD handler logs (see on_commit_fn): cleared on both commit and abort,
@@ -533,10 +515,6 @@ class TxDescriptor {
   // find_redo scans the log linearly until it holds this many entries, then
   // builds redo_index_ once and switches to O(1) lookups.
   static constexpr std::size_t kRedoIndexThreshold = 16;
-  // Commit-time acquisition walks the log directly (duplicates skipped by
-  // the own-lock check) until the write set is this large; beyond it the
-  // stripes are deduped and sorted into a global acquisition order first.
-  static constexpr std::size_t kSortedAcquireThreshold = 64;
   bool redo_indexed_ = false;
 
   // HTM read footprint for the current attempt.  Counted per instrumented
@@ -627,13 +605,10 @@ inline std::uint64_t TxDescriptor::read_word(
     }
     return read_norec_slow(addr);
   }
-  if (backend_ != Backend::EagerSTM) [[unlikely]] {
-    // HTM models chaos aborts and a footprint cap on every read: keep the
-    // whole protocol out-of-line.
-    if (backend_ == Backend::HTM) return read_optimistic(addr);
-    // LazySTM: reads-after-writes come from the redo log.
-    if (const RedoEntry* e = find_redo(addr)) return e->value;
-  }
+  // HTM models chaos aborts and a footprint cap on every read: keep the
+  // whole protocol out-of-line.
+  if (backend_ == Backend::HTM) [[unlikely]]
+    return read_optimistic(addr);
   // Inline orec_for so the stripe index is computed once and shared between
   // the orec probe and the dedup filter.
   const auto bits = reinterpret_cast<std::uintptr_t>(addr) >> 3;
@@ -672,9 +647,8 @@ inline void TxDescriptor::write_word(std::atomic<std::uint64_t>* addr,
 // push_back.  Lookups still resolve to the newest write -- find_redo scans
 // newest-first and the index upsert repoints at the latest entry -- and
 // commit write-back replays the log in program order, so the last write
-// wins there too.  Duplicate entries cost one extra write-back store (and,
-// for LazySTM, an own-lock check at acquisition), both far cheaper than a
-// per-store lookup.
+// wins there too.  A duplicate entry costs one extra write-back store, far
+// cheaper than a per-store lookup.
 inline void TxDescriptor::redo_append(std::atomic<std::uint64_t>* addr,
                                       std::uint64_t value) {
   redo_log_.push_back(RedoEntry{addr, value});

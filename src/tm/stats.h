@@ -19,7 +19,7 @@ namespace tmcv::tm {
 // constants (not the Backend / TxAbort::Reason enums) so stats.h stays
 // header-light; descriptor.cpp static_asserts they match the enums.  Rows
 // are the backends a descriptor runs (Hybrid is a retry-loop request).
-inline constexpr std::size_t kStatsBackends = 4;      // eager lazy htm norec
+inline constexpr std::size_t kStatsBackends = 3;      // eager htm norec
 inline constexpr std::size_t kStatsAbortReasons = 5;  // conflict capacity syscall explicit retry_wait
 
 // Label helper for the reason axis (exporters and tools); the backend axis
@@ -47,7 +47,6 @@ struct Stats : counters::Family<Stats> {
   // Contention-management instrumentation.
   std::uint64_t clock_cas_reuses = 0;       // GV4 adopted (pass-on-failure)
                                             // commit timestamps
-  std::uint64_t cm_waits = 0;               // polite waits on locked orecs
   std::uint64_t cm_backoffs = 0;            // inter-retry backoff episodes
   std::uint64_t cm_serial_escalations = 0;  // serial fallbacks forced by the
                                             // conflict-streak limit
@@ -117,7 +116,6 @@ struct Stats : counters::Family<Stats> {
     fn("handlers_run", &Stats::handlers_run);
     fn("aborts_by_backend", &Stats::aborts_by_backend);
     fn("clock_cas_reuses", &Stats::clock_cas_reuses);
-    fn("cm_waits", &Stats::cm_waits);
     fn("cm_backoffs", &Stats::cm_backoffs);
     fn("cm_serial_escalations", &Stats::cm_serial_escalations);
     fn("log_index_rehashes", &Stats::log_index_rehashes);

@@ -95,8 +95,8 @@ TYPED_TEST(HalfEmptyWake, OneProducerManyConsumers) {
 class TxnBlocks : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TxnBlocks,
-                         ::testing::Values(Backend::EagerSTM, Backend::LazySTM,
-                                           Backend::NOrec, Backend::HTM),
+                         ::testing::Values(Backend::EagerSTM, Backend::HTM,
+                                           Backend::NOrec),
                          [](const auto& info) {
                            return std::string(tm::to_string(info.param));
                          });

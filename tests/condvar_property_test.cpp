@@ -33,6 +33,8 @@ class CondVarChurn
   void SetUp() override {
     saved_ = tm::default_backend();
     tm::set_default_backend(std::get<0>(GetParam()));
+    ASSERT_EQ(tm::resolve_backend(std::get<0>(GetParam())),
+              std::get<0>(GetParam()));
   }
   void TearDown() override { tm::set_default_backend(saved_); }
 
@@ -42,8 +44,8 @@ class CondVarChurn
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CondVarChurn,
-    ::testing::Combine(::testing::Values(Backend::EagerSTM, Backend::LazySTM,
-                                         Backend::HTM),
+    ::testing::Combine(::testing::Values(Backend::EagerSTM, Backend::HTM,
+                                         Backend::NOrec),
                        ::testing::Values(1, 2, 4, 8)),
     [](const auto& info) {
       return std::string(tm::to_string(std::get<0>(info.param))) + "_w" +

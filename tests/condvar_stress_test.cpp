@@ -29,8 +29,8 @@ using tm::Backend;
 class CondVarStress : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, CondVarStress,
-                         ::testing::Values(Backend::EagerSTM, Backend::LazySTM,
-                                           Backend::HTM),
+                         ::testing::Values(Backend::EagerSTM, Backend::HTM,
+                                           Backend::NOrec),
                          [](const auto& info) {
                            return std::string(tm::to_string(info.param));
                          });

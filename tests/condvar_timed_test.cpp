@@ -179,8 +179,8 @@ TEST(LegacyCvTimed, NotifyAllUnderLockReturnsNotifiedExactlyOnce) {
 class TimedTx : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TimedTx,
-                         ::testing::Values(Backend::EagerSTM, Backend::LazySTM,
-                                           Backend::HTM),
+                         ::testing::Values(Backend::EagerSTM, Backend::HTM,
+                                           Backend::NOrec),
                          [](const auto& info) {
                            return std::string(tm::to_string(info.param));
                          });

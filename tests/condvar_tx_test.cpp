@@ -24,8 +24,8 @@ using tm::Backend;
 class CondVarTx : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, CondVarTx,
-                         ::testing::Values(Backend::EagerSTM, Backend::LazySTM,
-                                           Backend::HTM),
+                         ::testing::Values(Backend::EagerSTM, Backend::HTM,
+                                           Backend::NOrec),
                          [](const auto& info) {
                            return std::string(tm::to_string(info.param));
                          });

@@ -177,7 +177,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LinearizabilityRecorded,
 TEST_P(LinearizabilityRecorded, TxQueueHistoriesLinearizeToFifo) {
   const Backend saved = tm::default_backend();
   for (Backend b :
-       {Backend::EagerSTM, Backend::LazySTM, Backend::HTM}) {
+       {Backend::EagerSTM, Backend::HTM, Backend::NOrec}) {
     tm::set_default_backend(b);
     QueueAdapter adapter;
     const auto history =
@@ -191,7 +191,7 @@ TEST_P(LinearizabilityRecorded, TxQueueHistoriesLinearizeToFifo) {
 TEST_P(LinearizabilityRecorded, TxStackHistoriesLinearizeToLifo) {
   const Backend saved = tm::default_backend();
   for (Backend b :
-       {Backend::EagerSTM, Backend::LazySTM, Backend::HTM}) {
+       {Backend::EagerSTM, Backend::HTM, Backend::NOrec}) {
     tm::set_default_backend(b);
     StackAdapter adapter;
     const auto history =

@@ -76,7 +76,7 @@ TEST_F(ObsMetricsTest, JsonExporterShape) {
   // order; a Hybrid request is a retry ladder and has no row.
   EXPECT_NE(json.find("\"aborts_by_backend\": {\"eager\": {"),
             std::string::npos);
-  for (const char* row : {"\"lazy\": {", "\"htm\": {", "\"norec\": {"})
+  for (const char* row : {"\"htm\": {", "\"norec\": {"})
     EXPECT_NE(json.find(row), std::string::npos) << "missing row " << row;
   EXPECT_EQ(json.find("\"hybrid\": {"), std::string::npos);
 }
@@ -299,7 +299,8 @@ TEST(TmStats, ReasonTotalsAreMatrixColumnSums) {
   for (std::size_t b = 0; b < tmcv::tm::kStatsBackends; ++b)
     for (std::size_t r = 0; r < tmcv::tm::kStatsAbortReasons; ++r)
       s.aborts_by_backend[b][r] = (b + 1) * 10 + r;
-  const auto column = [](std::uint64_t r) { return 100 + 4 * r; };
+  // Rows 10+r, 20+r, 30+r (eager, htm, norec).
+  const auto column = [](std::uint64_t r) { return 60 + 3 * r; };
   EXPECT_EQ(s.aborts_conflict(), column(0));
   EXPECT_EQ(s.aborts_capacity(), column(1));
   EXPECT_EQ(s.aborts_syscall(), column(2));

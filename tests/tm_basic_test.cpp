@@ -5,17 +5,18 @@
 #include <string>
 #include <vector>
 
+#include "backend_param.h"
 #include "tm/api.h"
 #include "tm/var.h"
 
 namespace tmcv::tm {
 namespace {
 
-class TmBackends : public ::testing::TestWithParam<Backend> {};
+class TmBackends : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TmBackends,
-                         ::testing::Values(Backend::EagerSTM, Backend::LazySTM,
-                                           Backend::HTM),
+                         ::testing::Values(Backend::EagerSTM, Backend::HTM,
+                                           Backend::NOrec),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
@@ -276,8 +277,8 @@ TEST(TmExplicitRetry, EscalatesToSerialAndCompletes) {
 
 TEST(TmDefaults, DefaultBackendIsSettable) {
   const Backend prior = default_backend();
-  set_default_backend(Backend::LazySTM);
-  EXPECT_EQ(default_backend(), Backend::LazySTM);
+  set_default_backend(Backend::HTM);
+  EXPECT_EQ(default_backend(), Backend::HTM);
   var<int> x(0);
   atomically([&] { x.store(1); });
   EXPECT_EQ(x.load(), 1);

@@ -6,6 +6,7 @@
 #include <string>
 #include <thread>
 
+#include "backend_param.h"
 #include "tm/api.h"
 #include "tm/var.h"
 
@@ -19,11 +20,11 @@ struct Triple {
   }
 };
 
-class TmBox : public ::testing::TestWithParam<Backend> {};
+class TmBox : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TmBox,
-                         ::testing::Values(Backend::EagerSTM, Backend::LazySTM,
-                                           Backend::HTM),
+                         ::testing::Values(Backend::EagerSTM, Backend::HTM,
+                                           Backend::NOrec),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });

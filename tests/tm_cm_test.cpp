@@ -1,6 +1,6 @@
-// Contention management: the GV4 pass-on-failure commit clock, the polite
-// orec wait in lazy commit, conflict-streak serial escalation (and recovery
-// after the contention clears), abort-reason accounting, and the HTM
+// Contention management: the GV4 pass-on-failure commit clock,
+// conflict-streak serial escalation (and recovery after the contention
+// clears), abort-reason accounting, and the HTM
 // attempt-budget hysteresis.
 #include <gtest/gtest.h>
 
@@ -78,7 +78,7 @@ TEST(TmCm, ForcedConflictNoLivelockAndReasonsSum) {
       start.fetch_add(1);
       while (start.load() < kThreads) std::this_thread::yield();
       for (int i = 0; i < kIncrements; ++i)
-        atomically(Backend::LazySTM, [&] { x.store(x.load() + 1); });
+        atomically(Backend::EagerSTM, [&] { x.store(x.load() + 1); });
     });
   }
   for (auto& th : threads) th.join();
@@ -130,37 +130,6 @@ TEST(TmCm, SerialEscalationAfterKConflictsAndRecovery) {
   EXPECT_GE(s.aborts_conflict(), 4u);
   EXPECT_EQ(s.cm_serial_escalations, 1u);
   EXPECT_EQ(s.serial_fallbacks, 1u);  // recovery ran optimistically
-}
-
-TEST(TmCm, PoliteWaitTurnsLockedOrecIntoBoundedWait) {
-  // Lazy commit meeting a locked orec first waits politely (cm_waits) for
-  // the holder to finish instead of aborting on sight.
-  stats_reset();
-  var<std::uint64_t> x(0);
-  std::atomic<bool> holder_in_txn{false};
-  std::atomic<bool> release_holder{false};
-  std::thread holder([&] {
-    atomically(Backend::EagerSTM, [&] {
-      x.store(1);
-      holder_in_txn.store(true);
-      while (!release_holder.load()) std::this_thread::yield();
-    });
-  });
-  while (!holder_in_txn.load()) std::this_thread::yield();
-  std::thread victim([&] {
-    // Blind write: lazy logs it without touching the orec, so the first
-    // collision with the holder's lock happens inside commit_lazy -- the
-    // polite-wait path under test.  (A read would conflict-abort earlier.)
-    atomically(Backend::LazySTM, [&] { x.store(2); });
-  });
-  while (stats_snapshot().cm_waits == 0) std::this_thread::yield();
-  release_holder.store(true);
-  holder.join();
-  victim.join();
-  // The victim cannot acquire x's stripe before the holder commits, so its
-  // blind write serializes after the holder's x=1.
-  EXPECT_EQ(x.load(), 2u);
-  EXPECT_GE(stats_snapshot().cm_waits, 1u);
 }
 
 TEST(TmCm, ExplicitAbortsDoNotFeedTheConflictStreak) {

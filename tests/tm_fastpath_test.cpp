@@ -15,6 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "backend_param.h"
 #include "core/condvar.h"
 #include "tm/api.h"
 #include "tm/orec.h"
@@ -125,11 +126,13 @@ TEST(TmFastPath, FilterSlotCollisionIsBenign) {
   EXPECT_EQ(sum, 700u);
 }
 
-class TmFastPathBackends : public ::testing::TestWithParam<Backend> {};
+// Each case runs with the process default set to its param (the eager pin
+// above is restored afterwards): under an eager default a NOrec request
+// would run EagerSTM.
+class TmFastPathBackends : public test::BackendParamTest {};
 
-INSTANTIATE_TEST_SUITE_P(EagerAndLazy, TmFastPathBackends,
-                         ::testing::Values(Backend::EagerSTM,
-                                           Backend::LazySTM),
+INSTANTIATE_TEST_SUITE_P(EagerAndNOrec, TmFastPathBackends,
+                         ::testing::Values(Backend::EagerSTM, Backend::NOrec),
                          [](const auto& info) {
                            return std::string(tm::to_string(info.param));
                          });
@@ -137,8 +140,9 @@ INSTANTIATE_TEST_SUITE_P(EagerAndLazy, TmFastPathBackends,
 // Read-after-write must stay exact while the redo log grows past the
 // linear-scan threshold and its hash index grows through multiple rehashes
 // (the index starts at 64 slots and rehashes at 3/4 load, so 200 distinct
-// writes force several).  EagerSTM writes through memory and keeps no
-// write index at all, so it must report zero rehashes.
+// writes force several).  NOrec buffers its writes in that log; EagerSTM
+// writes through memory and keeps no write index at all, so it must report
+// zero rehashes.
 TEST_P(TmFastPathBackends, LogIndexReadAfterWriteAcrossRehash) {
   constexpr int kVars = 200;
   std::vector<std::unique_ptr<tm::var<std::uint64_t>>> vars;
@@ -149,7 +153,7 @@ TEST_P(TmFastPathBackends, LogIndexReadAfterWriteAcrossRehash) {
   tm::atomically(GetParam(), [&] {
     ok = true;
     for (int i = 0; i < kVars; ++i) vars[i]->store(i * 3 + 1);
-    // Read back through the redo log (LazySTM) / write-through (EagerSTM):
+    // Read back through the redo log (NOrec) / write-through (EagerSTM):
     // every lookup must find the latest value, including entries inserted
     // before the last rehash.
     for (int i = 0; i < kVars; ++i)
@@ -166,7 +170,7 @@ TEST_P(TmFastPathBackends, LogIndexReadAfterWriteAcrossRehash) {
   for (int i = 32; i < kVars; ++i)
     EXPECT_EQ(vars[i]->load(), static_cast<std::uint64_t>(i * 3 + 1));
   const Stats s = tm::stats_snapshot();
-  if (GetParam() == Backend::LazySTM) {
+  if (GetParam() == Backend::NOrec) {
     EXPECT_GE(s.log_index_rehashes, 1u);
   } else {
     EXPECT_EQ(s.log_index_rehashes, 0u);
@@ -181,8 +185,6 @@ TEST_P(TmFastPathBackends, LogIndexReadAfterWriteAcrossRehash) {
 // coalesced batch flush.
 TEST_P(TmFastPathBackends, NotifyAllInAbortedTxnPostsNothing) {
   constexpr int kWaiters = 32;
-  const Backend saved = tm::default_backend();
-  tm::set_default_backend(GetParam());
   CondVar cv;
   std::mutex m;
   std::atomic<int> woke{0};
@@ -220,7 +222,6 @@ TEST_P(TmFastPathBackends, NotifyAllInAbortedTxnPostsNothing) {
   for (auto& t : waiters) t.join();
   EXPECT_EQ(woke.load(), kWaiters);
   EXPECT_EQ(cv.waiter_count(), 0u);
-  tm::set_default_backend(saved);
 }
 
 // The abort path alone: waiters must still be parked (queue intact, no

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "backend_param.h"
 #include "tm/api.h"
 #include "tm/var.h"
 #include "util/rng.h"
@@ -95,6 +96,9 @@ RunResult run_reference(const Program& prog) {
 struct FuzzAbort {};
 
 RunResult run_tm(const Program& prog, Backend backend) {
+  // Under a NOrec default every explicit request runs NOrec: pin the
+  // default so the run exercises the backend it names.
+  const test::ScopedDefaultBackend pin(backend);
   std::vector<std::unique_ptr<var<std::uint64_t>>> cells;
   for (std::size_t i = 0; i < kCells; ++i)
     cells.push_back(std::make_unique<var<std::uint64_t>>(0));
@@ -161,7 +165,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TmFuzz,
 TEST_P(TmFuzz, AllBackendsMatchReference) {
   const Program prog = generate(GetParam(), /*txn_count=*/200);
   const RunResult expected = run_reference(prog);
-  for (Backend b : {Backend::EagerSTM, Backend::LazySTM, Backend::HTM}) {
+  for (Backend b : {Backend::EagerSTM, Backend::HTM, Backend::NOrec}) {
     const RunResult got = run_tm(prog, b);
     EXPECT_EQ(got, expected) << "backend " << to_string(b) << " seed "
                              << GetParam();
@@ -172,7 +176,7 @@ TEST(TmFuzzAborted, NoAbortedWriteSurvivesLargePrograms) {
   // All-abort program: the state must remain untouched on every backend.
   Program prog = generate(1234, 300);
   for (Txn& t : prog.txns) t.aborts = true;
-  for (Backend b : {Backend::EagerSTM, Backend::LazySTM, Backend::HTM}) {
+  for (Backend b : {Backend::EagerSTM, Backend::HTM, Backend::NOrec}) {
     const RunResult got = run_tm(prog, b);
     for (std::uint64_t v : got.cells) EXPECT_EQ(v, 0u);
     EXPECT_EQ(got.read_checksum, 0u);
@@ -183,7 +187,7 @@ TEST(TmFuzzAborted, AllCommitMatchesReferenceExactly) {
   Program prog = generate(777, 300);
   for (Txn& t : prog.txns) t.aborts = false;
   const RunResult expected = run_reference(prog);
-  for (Backend b : {Backend::EagerSTM, Backend::LazySTM, Backend::HTM})
+  for (Backend b : {Backend::EagerSTM, Backend::HTM, Backend::NOrec})
     EXPECT_EQ(run_tm(prog, b), expected) << to_string(b);
 }
 

@@ -8,6 +8,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "backend_param.h"
 #include "tm/api.h"
 #include "tm/var.h"
 
@@ -79,7 +80,7 @@ TEST(TmHybrid, LadderStepsFromHardwareToSoftwareExactly) {
   EXPECT_EQ(row_total(s, Backend::EagerSTM), 0u);
   // The matrix has one row per backend a descriptor runs -- no Hybrid row
   // -- and accounts for every abort.
-  static_assert(std::extent_v<decltype(Stats::aborts_by_backend)> == 4);
+  static_assert(std::extent_v<decltype(Stats::aborts_by_backend)> == 3);
   std::uint64_t matrix_total = 0;
   for (std::size_t b = 0; b < kStatsBackends; ++b)
     matrix_total += row_total(s, static_cast<Backend>(b));
@@ -153,9 +154,10 @@ TEST(TmChaos, ChaosDoesNotAffectStmBackends) {
   stats_reset();
   ChaosGuard chaos(1000000);  // would kill every HTM access
   var<long> counter(0);
-  for (int i = 0; i < 100; ++i) {
-    atomically(Backend::EagerSTM, [&] { counter.store(counter.load() + 1); });
-    atomically(Backend::LazySTM, [&] { counter.store(counter.load() + 1); });
+  for (Backend b : {Backend::EagerSTM, Backend::NOrec}) {
+    const test::ScopedDefaultBackend pin(b);
+    for (int i = 0; i < 100; ++i)
+      atomically(b, [&] { counter.store(counter.load() + 1); });
   }
   EXPECT_EQ(counter.load(), 200);
   EXPECT_EQ(stats_snapshot().htm_chaos_aborts, 0u);

@@ -3,11 +3,14 @@
 // counter conservation, retry_wait integration, and the family override
 // that keeps NOrec and orec transactions from ever overlapping.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -111,7 +114,7 @@ TEST_F(TmNorec, MultiThreadedCounterConservation) {
   EXPECT_GE(s.commits, static_cast<std::uint64_t>(kThreads) * kIncrements);
   // Every abort is attributed to the NOrec row of the matrix (the family
   // override means no other backend ran), and the matrix sums to `aborts`.
-  static_assert(std::extent_v<decltype(tm::Stats::aborts_by_backend)> == 4);
+  static_assert(std::extent_v<decltype(tm::Stats::aborts_by_backend)> == 3);
   std::uint64_t matrix_total = 0, norec_row = 0;
   for (std::size_t b = 0; b < tm::kStatsBackends; ++b)
     for (std::size_t r = 0; r < tm::kStatsAbortReasons; ++r) {
@@ -152,16 +155,75 @@ TEST_F(TmNorec, FamilyOverrideCoercesExplicitRequests) {
 }
 
 // Family override, orec-default side: an explicit NOrec request under an
-// orec default coerces to LazySTM (redo-log family, no global counter).
-TEST_F(TmNorec, NorecRequestUnderOrecDefaultRunsLazy) {
+// orec default coerces to EagerSTM (orec family, no global counter).
+TEST_F(TmNorec, NorecRequestUnderOrecDefaultRunsEager) {
   tm::set_default_backend(Backend::EagerSTM);
   tm::stats_reset();
   tm::var<int> x(0);
-  tm::atomically(Backend::NOrec, [&] { x.store(x.load() + 1); });
+  Backend ran = Backend::NOrec;
+  tm::atomically(Backend::NOrec, [&] {
+    ran = tm::descriptor().backend();
+    x.store(x.load() + 1);
+  });
+  EXPECT_EQ(ran, Backend::EagerSTM);
   EXPECT_EQ(x.load_plain(), 1);
   const tm::Stats s = tm::stats_snapshot();
   EXPECT_EQ(s.commits, 1u);
   EXPECT_EQ(s.norec_commits, 0u);
+}
+
+// A committer descheduled mid-write-back holds the counter odd until it runs
+// again.  With both threads pinned to one CPU, the holder makes the counter
+// odd and yields, so every round the beginner meets an odd counter that
+// only the holder can release.  A beginner that only spun would keep the
+// CPU for the rest of its time slice (milliseconds) first; one that yields
+// hands it back within microseconds.
+TEST(TmNorecBegin, OddCounterYieldsToTheHolder) {
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &allowed)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  const auto pin = [&] {
+    return pthread_setaffinity_np(pthread_self(), sizeof one, &one) == 0;
+  };
+
+  constexpr int kRounds = 300;
+  auto& clk = tm::algs::norec_clock();
+  std::atomic<bool> stop{false};
+  std::atomic<bool> pinned{true};
+  std::thread holder([&] {
+    if (!pin()) pinned.store(false);
+    while (!stop.load(std::memory_order_acquire)) {
+      std::uint64_t t = tm::algs::norec_begin_snapshot();
+      if (!clk.compare_exchange_strong(t, t + 1)) continue;
+      sched_yield();  // descheduled mid-write-back
+      clk.store(t + 2, std::memory_order_release);
+      sched_yield();
+    }
+  });
+  std::chrono::nanoseconds total{0};
+  std::thread beginner([&] {
+    if (!pin()) pinned.store(false);
+    for (int r = 0; r < kRounds; ++r) {
+      sched_yield();  // let the holder take the counter
+      const auto t0 = std::chrono::steady_clock::now();
+      const std::uint64_t t = tm::algs::norec_begin_snapshot();
+      total += std::chrono::steady_clock::now() - t0;
+      EXPECT_EQ(t & 1u, 0u);
+    }
+  });
+  beginner.join();
+  stop.store(true, std::memory_order_release);
+  holder.join();
+  if (!pinned.load()) GTEST_SKIP() << "cannot pin threads to one CPU";
+
+  const double mean_us =
+      std::chrono::duration<double, std::micro>(total).count() / kRounds;
+  std::printf("mean begin latency on an odd counter: %.1f us\n", mean_us);
+  EXPECT_LT(mean_us, 500.0);
 }
 
 }  // namespace

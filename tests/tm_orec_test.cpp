@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend_param.h"
 #include "tm/api.h"
 #include "tm/clock.h"
 #include "tm/descriptor.h"
@@ -60,8 +61,9 @@ TEST(Orec, TableIsZeroInitialized) {
 TEST(Orec, WriteThroughAbortReleasesAFreshVersion) {
   // An aborted write-through transaction must not hand its stripe back with
   // the pre-lock word: a reader that loaded the speculative value between
-  // its two orec loads would then accept it (ABA).
-  if (default_backend() == Backend::NOrec) GTEST_SKIP() << "no orecs";
+  // its two orec loads would then accept it (ABA).  An eager default runs
+  // each request as named (a NOrec default would touch no orec).
+  const test::ScopedDefaultBackend pin(Backend::EagerSTM);
   for (Backend b : {Backend::EagerSTM, Backend::HTM}) {
     std::atomic<std::uint64_t> word{7};
     const Orec& o = orec_for(&word);

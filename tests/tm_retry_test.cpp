@@ -8,17 +8,18 @@
 #include <thread>
 #include <vector>
 
+#include "backend_param.h"
 #include "tm/api.h"
 #include "tm/var.h"
 
 namespace tmcv::tm {
 namespace {
 
-class TmRetry : public ::testing::TestWithParam<Backend> {};
+class TmRetry : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TmRetry,
-                         ::testing::Values(Backend::EagerSTM, Backend::LazySTM,
-                                           Backend::HTM),
+                         ::testing::Values(Backend::EagerSTM, Backend::HTM,
+                                           Backend::NOrec),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });

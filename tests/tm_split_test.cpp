@@ -5,6 +5,7 @@
 #include <string>
 #include <thread>
 
+#include "backend_param.h"
 #include "tm/api.h"
 #include "tm/txn_sync.h"
 #include "tm/var.h"
@@ -12,11 +13,11 @@
 namespace tmcv::tm {
 namespace {
 
-class TmSplit : public ::testing::TestWithParam<Backend> {};
+class TmSplit : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TmSplit,
-                         ::testing::Values(Backend::EagerSTM, Backend::LazySTM,
-                                           Backend::HTM),
+                         ::testing::Values(Backend::EagerSTM, Backend::HTM,
+                                           Backend::NOrec),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });

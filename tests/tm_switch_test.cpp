@@ -1,7 +1,7 @@
 // Backend switching through tm::set_default_backend, the one setter of the
 // process default: it waits for in-flight transactions before it returns,
 // and under load -- four threads run a mixed condvar-wait + transaction
-// token economy while the main thread flips eager -> norec -> lazy -> eager
+// token economy while the main thread flips eager -> norec -> htm -> eager
 // -> norec -> eager -- tokens are conserved, no wakeup is lost, and the
 // Stats fold is exact across the switch quiescence points (the per-backend
 // abort matrix must sum to the scalar abort counter no matter where the
@@ -89,8 +89,8 @@ TEST(TmSwitch, QuiescedSwitchChangesDefault) {
   tm::set_default_backend(Backend::NOrec);
   EXPECT_EQ(tm::default_backend(), Backend::NOrec);
   tm::set_default_backend(Backend::NOrec);  // no-op: already current
-  tm::set_default_backend(Backend::LazySTM);
-  EXPECT_EQ(tm::default_backend(), Backend::LazySTM);
+  tm::set_default_backend(Backend::HTM);
+  EXPECT_EQ(tm::default_backend(), Backend::HTM);
 
   const tm::Stats s = tm::stats_snapshot();
   EXPECT_EQ(s.backend_switches, 2u);
@@ -226,7 +226,7 @@ TEST(TmSwitch, MidFlightFlipsConserveTokensAndStats) {
   // Main thread: flip backends mid-flight.  Each switch drains every
   // in-flight optimistic transaction at the serial lock, so the waiters and
   // producers above only ever observe a coherent backend per transaction.
-  const Backend flips[] = {Backend::NOrec, Backend::LazySTM, Backend::EagerSTM,
+  const Backend flips[] = {Backend::NOrec, Backend::HTM, Backend::EagerSTM,
                            Backend::NOrec, Backend::EagerSTM};
   for (const Backend b : flips) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -250,8 +250,8 @@ TEST(TmSwitch, MidFlightFlipsConserveTokensAndStats) {
   // and more than one backend actually ran.
   const tm::Stats s = tm::stats_snapshot();
   EXPECT_EQ(s.backend_switches, std::size(flips));
-  // One row per backend a descriptor runs (eager, lazy, htm, norec).
-  static_assert(std::extent_v<decltype(tm::Stats::aborts_by_backend)> == 4);
+  // One row per backend a descriptor runs (eager, htm, norec).
+  static_assert(std::extent_v<decltype(tm::Stats::aborts_by_backend)> == 3);
   std::uint64_t matrix_total = 0;
   for (std::size_t b = 0; b < tm::kStatsBackends; ++b)
     for (std::size_t r = 0; r < tm::kStatsAbortReasons; ++r)

@@ -21,8 +21,8 @@ using tm::Backend;
 class LruBackends : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, LruBackends,
-                         ::testing::Values(Backend::EagerSTM, Backend::LazySTM,
-                                           Backend::HTM),
+                         ::testing::Values(Backend::EagerSTM, Backend::HTM,
+                                           Backend::NOrec),
                          [](const auto& info) {
                            return std::string(tm::to_string(info.param));
                          });

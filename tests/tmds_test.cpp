@@ -24,8 +24,8 @@ using tm::Backend;
 class TmdsBackends : public test::BackendParamTest {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TmdsBackends,
-                         ::testing::Values(Backend::EagerSTM, Backend::LazySTM,
-                                           Backend::HTM),
+                         ::testing::Values(Backend::EagerSTM, Backend::HTM,
+                                           Backend::NOrec),
                          [](const auto& info) {
                            return std::string(tm::to_string(info.param));
                          });

@@ -289,8 +289,6 @@ _FIX_METRICS = {
            "aborts_by_backend": {
                "eager": {"conflict": 0, "capacity": 0, "syscall": 0,
                          "explicit": 0, "retry_wait": 0},
-               "lazy": {"conflict": 0, "capacity": 0, "syscall": 0,
-                        "explicit": 0, "retry_wait": 0},
                "htm": {"conflict": 0, "capacity": 0, "syscall": 0,
                        "explicit": 0, "retry_wait": 0},
                "norec": {"conflict": 170, "capacity": 0, "syscall": 0,
@@ -399,7 +397,7 @@ def self_test():
           "aborts by backend:" in frame and "conflict=170" in frame
           and "retry_wait=30" in frame)
     check("frame hides zero-abort backends",
-          "\n  eager" not in frame and "\n  lazy" not in frame)
+          "\n  eager" not in frame and "\n  htm" not in frame)
     rows = backend_abort_rows(_FIX_METRICS)
     check("backend rows non-zero only, totalled",
           rows == [("norec", 200, "conflict=170 retry_wait=30")])
