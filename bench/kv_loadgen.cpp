@@ -21,10 +21,9 @@
 // `--hold-ms=N` keeps the process alive after the run so CI can curl
 // /profile at quiescence, when conflicts_recorded == aborts_conflict
 // exactly.  `--storm-ms=N` injects a deterministic abort storm for the
-// first N ms (capacity-doomed hybrid transactions, see run_storm) -- the
-// watchdog-smoke CI job uses it to prove the abort-storm alert fires and
-// clears against live traffic.  The storm needs hardware attempts, so under
-// the NOrec default it exits 2 unless --backend=eager|hybrid|htm is given.
+// first N ms (self-aborting transactions, see run_storm) on any backend --
+// the watchdog-smoke CI job uses it to prove the abort-storm alert fires
+// and clears against live traffic.
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -160,19 +159,16 @@ void run_client(const Config& cfg, std::uint16_t port, unsigned id,
 }
 
 // --storm-ms: the injected abort storm.  A sidecar thread hammers a private
-// hot region with Hybrid-backend transactions whose write set (kStormWrites
-// distinct words) exceeds TxDescriptor::kHtmWriteCapacity, so every
-// iteration capacity-aborts the doomed hardware attempt before the software
-// fallback commits.  That makes the storm deterministic on any machine:
+// hot region with transactions that self-abort (tm::retry_txn) on their
+// first attempt, so every iteration is one Explicit abort plus one commit.
+// That makes the storm deterministic on any machine and any backend:
 // conflict aborts need two transactions racing (scheduler luck on a
-// single-core box), capacity aborts are structural.  The watchdog's
-// abort-storm rule sees the ratio spike within two sampling periods, and
-// clears after the deadline passes, when only the well-behaved zipfian KV
-// traffic is left running.
+// single-core box), a self-abort is structural.  The watchdog's abort-storm
+// rule sees the ratio spike within two sampling periods, and clears after
+// the deadline passes, when only the well-behaved zipfian KV traffic is
+// left running.
 void run_storm(long storm_ms) {
   constexpr int kStormWrites = 96;
-  static_assert(kStormWrites > tmcv::tm::TxDescriptor::kHtmWriteCapacity,
-                "the storm transaction must overflow the hardware write set");
   std::vector<std::unique_ptr<tmcv::tm::var<std::uint64_t>>> region;
   region.reserve(kStormWrites);
   for (int i = 0; i < kStormWrites; ++i)
@@ -181,9 +177,14 @@ void run_storm(long storm_ms) {
                         std::chrono::milliseconds(storm_ms);
   std::uint64_t tick = 0;
   while (std::chrono::steady_clock::now() < deadline) {
-    tmcv::tm::atomically(tmcv::tm::Backend::Hybrid, [&] {
+    bool aborted = false;  // plain local: survives the rollback
+    tmcv::tm::atomically([&] {
       TMCV_TXN_SITE("kv_loadgen.storm");
       for (auto& v : region) v->store(tick);
+      if (!aborted) {
+        aborted = true;
+        tmcv::tm::retry_txn();
+      }
     });
     ++tick;
   }
@@ -267,7 +268,7 @@ int parse_args(int argc, char** argv, Config& cfg) {
           "          [--serve-metrics[=PORT]] [--hold-ms=N]\n"
           "          [--history[=MS]] [--watchdog[=DUMP.json]]\n"
           "          [--watchdog-abort-ratio=F] [--storm-ms=N]\n"
-          "          [--backend=eager|htm|hybrid|norec]\n",
+          "          [--backend=eager|htm|norec]\n",
           argv[0]);
       return 2;
     }
@@ -294,16 +295,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     tmcv::tm::set_default_backend(b);
-  }
-  // Under a NOrec default every transaction runs NOrec, whose write set has
-  // no hardware capacity to overflow: the storm would inject nothing.
-  if (cfg.storm_ms > 0 &&
-      tmcv::tm::default_backend() == tmcv::tm::Backend::NOrec) {
-    std::fprintf(stderr,
-                 "kv_loadgen: --storm-ms needs hardware attempts, which a "
-                 "NOrec default never makes; pass "
-                 "--backend=eager|hybrid|htm\n");
-    return 2;
   }
 
   // Observability stack, outermost first: the watchdog needs history to

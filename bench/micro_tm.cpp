@@ -73,12 +73,8 @@ constexpr double kCwTheta = 0.9;  // zipf skew: ~35% of draws hit the top 4
 constexpr int kCwMaxThreads = 8;
 constexpr int kCwPickSets = 256;  // pre-drawn picks cycled per thread
 // Every kCwHeavyEvery-th transaction is a large one: kCwHeavyWrites distinct
-// words comfortably exceed TxDescriptor::kHtmWriteCapacity (64 stripes), so
-// the hybrid hardware path is deterministically doomed for it.  Mixed
-// transaction sizes are what real workloads feed a hybrid TM, and they are
-// exactly what separates abort-reason triage (one doomed hardware attempt,
-// then software) from a blind fixed hardware budget (burn every attempt on
-// a transaction that can never fit).
+// words of a private region, three times a normal write set, so the profile
+// mixes transaction sizes the way real workloads do.
 constexpr int kCwHeavyEvery = 32;
 constexpr int kCwHeavyWrites = 96;
 
@@ -131,10 +127,9 @@ ContendedState& contended_state() {
 void contended_txn(ContendedState& s, int tid, int seq) {
   auto* counter = s.counters[tid].get();
   if ((seq + 1) % kCwHeavyEvery == 0) {
-    // Heavy transaction: the write set cannot fit in (emulated) hardware,
-    // so the hybrid path must discover that and fall back to software.
+    // Heavy transaction: a long write set over a private region.
     auto& region = s.heavy[tid];
-    atomically(Backend::Hybrid, [&] {
+    atomically(Backend::EagerSTM, [&] {
       TMCV_TXN_SITE("zipf.heavy");
       for (int w = 0; w < kCwHeavyWrites; ++w)
         region[w]->store(static_cast<std::uint64_t>(seq));
@@ -248,11 +243,11 @@ int run_json_contended_mode(const char* out_path) {
                "  \"aborts_explicit\": %llu,\n"
                "  \"aborts_retry_wait\": %llu\n"
                "}\n",
-               // The profile pins EagerSTM and Hybrid; only a NOrec default
-               // reroutes them (resolve_backend).
+               // The profile pins EagerSTM; only a NOrec default reroutes
+               // it (resolve_backend).
                resolve_backend(Backend::EagerSTM) == Backend::NOrec
                    ? "norec"
-                   : "EagerSTM+Hybrid",
+                   : "EagerSTM",
                tmcv_get_spin_budget(), kThreads, kTxnsPerThread, kCwWrites,
                kCwReads, kCwHeavyEvery, kCwHeavyWrites, kCwVars, kCwTheta,
                kReps, best,
@@ -300,7 +295,7 @@ int main(int argc, char** argv) {
   //   --history[=MS]          time-series recorder at MS ms cadence (1000)
   //   --watchdog              SLO watchdog on default rules (implies
   //                           --history; enables timing + attribution)
-  //   --backend=NAME          eager|htm|hybrid|norec sets the process
+  //   --backend=NAME          eager|htm|norec sets the process
   //                           default (tm::set_default_backend)
   bool serve = false;
   int serve_port = 0;
@@ -346,7 +341,7 @@ int main(int argc, char** argv) {
     if (!backend_from_label(backend_arg, b)) {
       std::fprintf(stderr,
                    "micro_tm: unknown --backend '%s' (want "
-                   "eager|htm|hybrid|norec)\n",
+                   "eager|htm|norec)\n",
                    backend_arg);
       return 1;
     }

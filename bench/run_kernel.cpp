@@ -2,7 +2,7 @@
 // backend, threads) cell of the evaluation grid, with TM statistics.
 //
 //   run_kernel <kernel> [--system pthread|tmcv|tm] [--threads N]
-//              [--backend eager|htm|hybrid|norec] [--scale X]
+//              [--backend eager|htm|norec] [--scale X]
 //              [--trials N]
 //              [--trace out.json] [--metrics out.json]
 //              [--serve-metrics PORT] [--hold-ms N]
@@ -34,7 +34,7 @@ using namespace tmcv;
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <kernel> [--system pthread|tmcv|tm] [--threads N]\n"
-               "          [--backend eager|htm|hybrid|norec] [--scale X]\n"
+               "          [--backend eager|htm|norec] [--scale X]\n"
                "          [--trials N] [--trace out.json] [--metrics out.json]\n"
                "          [--serve-metrics PORT] [--hold-ms N]\n"
                "       %s --list\n",

@@ -556,7 +556,7 @@ int main(int argc, char** argv) {
     if (!backend_from_label(backend_arg, b)) {
       std::fprintf(stderr,
                    "vacation: unknown --backend '%s' (want "
-                   "eager|htm|hybrid|norec)\n",
+                   "eager|htm|norec)\n",
                    backend_arg);
       return 1;
     }

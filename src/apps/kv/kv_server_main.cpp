@@ -53,7 +53,7 @@ void usage(const char* argv0) {
                "  --dump-on-exit=P   write a flight dump to P at shutdown "
                "(and on alert/SIGUSR2)\n"
                "  --backend=NAME     TM backend: "
-               "eager|htm|hybrid|norec\n",
+               "eager|htm|norec\n",
                argv0);
 }
 

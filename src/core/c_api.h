@@ -48,10 +48,9 @@ unsigned tmcv_get_spin_budget(void);
 
 /* TM backend selection (see docs/BACKENDS.md).
  *
- * tmcv_tm_set_backend sets the process-wide default to a fixed backend by
- * label ("eager", "htm", "norec") or to the "hybrid" retry ladder
- * (hardware attempts, then eager, then serial); the switch happens at
- * a quiescence point (every in-flight transaction drains first).  Returns
+ * tmcv_tm_set_backend sets the process-wide default backend by label
+ * ("eager", "htm", "norec"); the switch happens at a quiescence point
+ * (every in-flight transaction drains first).  Returns
  * 0 on success, -1 on an unknown label.  Must not be called from inside a
  * transaction.  tmcv_tm_get_backend returns the current default's label
  * (a static string). */

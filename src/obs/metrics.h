@@ -76,7 +76,7 @@ void scrape_app_counters_into(std::vector<AppCounter>& out);
 struct MetricsSnapshot {
   tm::Stats tm;        // folded over live + retired TM threads
   std::string tm_backend;  // default backend label at capture time
-                           // ("eager"/"htm"/"hybrid"/"norec")
+                           // ("eager"/"htm"/"norec")
   CondVarStats cv;     // folded over live + destroyed condition variables
   WakeStats wake;      // process-wide spin/park counters
   std::uint64_t trace_events = 0;   // records retained across all rings

@@ -1,5 +1,5 @@
 // EagerSTM write barrier and commit protocol (also used by the HTM
-// emulation, which layers capacity/chaos/syscall aborts on top).
+// emulation, which layers capacity and syscall aborts on top).
 // Encounter-time locking, write-through with an undo log: write_word_slow and
 // commit_top route Backend::EagerSTM and Backend::HTM here.
 #include "tm/descriptor.h"
@@ -9,7 +9,6 @@ namespace tmcv::tm {
 
 void TxDescriptor::write_eager(std::atomic<std::uint64_t>* addr,
                                std::uint64_t value) {
-  maybe_chaos_abort();
   Orec& o = orec_for(addr);
   for (;;) {
     OrecWord cur = o.load(std::memory_order_acquire);

@@ -17,7 +17,7 @@ namespace {
 // (EXPERIMENTS.md, "NOrec default").
 std::atomic<Backend> g_default_backend{Backend::NOrec};
 
-// TMCV_DEFAULT_BACKEND=eager|htm|hybrid|norec seeds the process-wide
+// TMCV_DEFAULT_BACKEND=eager|htm|norec seeds the process-wide
 // default before main() (the CI matrix uses eager to run the whole test
 // suite on the orec family).  A plain store is safe here because no thread,
 // hence no transaction, exists yet; every later change goes through

@@ -11,13 +11,13 @@
 // enclosing transaction and the whole flat nest commits/aborts together.
 //
 // Contention management (tm/cm.h): jittered exponential backoff between
-// retries, escalation to the serial-irrevocable mode after a bounded number
-// of attempts *or* a run of consecutive conflict aborts, which guarantees
-// progress even on heavily oversubscribed machines.  Hardware attempts are
-// budgeted by the global fallback-pressure hysteresis and give up
-// immediately on aborts retrying cannot fix (capacity, syscall), emulating
-// RTM's lock-elision fallback discipline.  Backend::Hybrid puts a software
-// rung between the hardware attempts and the serial lock.
+// retries, escalation to the serial lock after a bounded number of attempts
+// *or* a run of consecutive conflict aborts, which guarantees progress even
+// on heavily oversubscribed machines.  Hardware attempts are budgeted by the
+// global fallback-pressure hysteresis and give up immediately on aborts
+// retrying cannot fix (capacity, syscall), emulating RTM's lock-elision
+// fallback discipline.  The escalated serial attempt undo-logs its writes,
+// so a transaction is all-or-nothing on every rung.
 //
 // Thread-safety note on statistics: stats_snapshot is safe to call while
 // threads run and exit -- the registry serializes thread-exit folds against
@@ -161,61 +161,49 @@ void run_optimistic(Backend backend, F&& fn) {
     if (d.in_txn()) d.pop_nested();  // a split WAIT may have closed the txn
     return;
   }
-  // The escalation ladder.  Hybrid: hardware attempts, then EagerSTM, then
-  // the serial lock.  HTM: hardware attempts, then serial (the paper's
-  // Haswell configuration).  Every other backend: itself, then serial.
-  // Resolving first collapses every ladder to NOrec-then-serial under a
-  // NOrec default; a stale read is harmless, since begin_top re-resolves
-  // after publishing activity, which is the race-free point.
+  // The escalation ladder: the resolved backend's attempts, then the
+  // serial lock (the paper's configurations: STM then serial for Figure 1,
+  // HTM then serial for Figure 2).  Resolving first collapses every ladder
+  // to NOrec-then-serial under a NOrec default; a stale read is harmless,
+  // since begin_top re-resolves after publishing activity, which is the
+  // race-free point.
   backend = resolve_backend(backend);
-  // Hybrid's software rung, still ahead while the hardware rung runs.
-  bool software_rung_left = backend == Backend::Hybrid;
-  Backend rung = software_rung_left ? Backend::HTM : backend;
   // Hardware budgets come from the global fallback-pressure hysteresis, so
   // a fallback storm shrinks everyone's budget instead of letting the whole
   // fleet lemming into the lock.
-  int budget = rung == Backend::HTM ? htm_attempt_budget()
-                                    : kStmAttemptsBeforeSerial;
+  const int budget = backend == Backend::HTM ? htm_attempt_budget()
+                                             : kStmAttemptsBeforeSerial;
   // Closures that ever executed retry_wait are *waiting*, not livelocked:
-  // they must never escalate to the serial lock (a serial closure blocks
-  // every other thread, so the awaited predicate could never become true).
+  // they never escalate to the serial lock (a serial attempt stops every
+  // other thread, so each wake would stall the whole process).
   bool has_retry_waited = false;
   // Hardware aborts that retrying cannot fix (capacity, syscall) skip the
-  // rest of the rung's budget.
+  // rest of the hardware budget.
   bool hard_fail = false;
   for (int attempt = 1;; ++attempt) {
     const bool spent = attempt > budget || hard_fail;
-    bool serial = false;  // this attempt runs under the serial lock
-    if (spent && software_rung_left) {
-      // Hardware gave up on this closure: step down to software.
-      note_htm_fallback();
-      software_rung_left = false;
-      rung = Backend::EagerSTM;
-      budget = kStmAttemptsBeforeSerial;
-      attempt = 1;
-      hard_fail = false;
-    } else if ((spent || d.cm().wants_serial()) && !has_retry_waited) {
-      // Escalate: run irrevocably under the serial lock.  A conflict streak
-      // at the CM limit escalates from any rung.
-      serial = true;
+    // Escalate: run under the serial lock.  A conflict streak at the CM
+    // limit escalates before the budget is spent.
+    const bool serial =
+        (spent || d.cm().wants_serial()) && !has_retry_waited;
+    if (serial) {
       counters::bump(d.stats().serial_fallbacks);
       // A conflict streak hitting the CM limit before the attempt budget is
       // exhausted is the adaptive (karma-style) escalation; count it apart
       // from plain budget exhaustion.
       if (!spent) counters::bump(d.stats().cm_serial_escalations);
       cm_note_serial_escalation(d.txn_site());
-      if (rung == Backend::HTM) note_htm_fallback();
+      if (backend == Backend::HTM) note_htm_fallback();
+      // Undo-logged, so the attempt can still roll back: on a user
+      // exception and on retry_wait, which gives the lock back.
+      d.begin_serial(1, /*undo=*/true);
+    } else {
+      d.begin_top(backend);
     }
-    // The serial section stays undoable until its first write, so a
-    // retry_wait before that gives the lock back and waits below.
-    if (serial)
-      d.begin_serial(1, /*undoable=*/true);
-    else
-      d.begin_top(rung);
     try {
       fn();
       d.commit_top();
-      if (!serial && rung == Backend::HTM) note_htm_commit();
+      if (!serial && backend == Backend::HTM) note_htm_commit();
       return;
     } catch (const TxAbort& abort) {
       if (abort.reason == TxAbort::Reason::RetryWait) {
@@ -227,24 +215,24 @@ void run_optimistic(Backend backend, F&& fn) {
       } else if (abort.reason == TxAbort::Reason::Capacity ||
                  abort.reason == TxAbort::Reason::Syscall) {
         // Only hardware attempts raise these, and they are deterministic
-        // for the closure: leave the rung now.
+        // for the closure: escalate now.
         hard_fail = true;
       } else {
         d.backoff_for_retry();
       }
     } catch (...) {
-      if (serial) {
-        // Irrevocable transactions cannot roll back; commit what ran and
-        // propagate (mirrors GCC libitm's behaviour for unsafe exceptions).
-        // A split WAIT may already have closed the serial section.
-        if (d.state() == TxState::Serial) d.commit_serial();
-      } else if (d.in_txn()) {
-        // A non-TM exception escaping the body aborts the transaction (all
-        // speculative effects undone) and propagates to the caller.
+      // A non-TM exception escaping the body aborts the attempt (every
+      // effect undone, the escalated serial attempt's included) and
+      // propagates to the caller.  Only the irrevocable continuation of a
+      // split WAIT cannot roll back: it commits what ran (see irrevocably).
+      // A split WAIT may also have closed the transaction already.
+      if (d.can_roll_back()) {
         try {
           d.abort_restart(TxAbort::Reason::Explicit);
         } catch (const TxAbort&) {
         }
+      } else if (d.state() == TxState::Serial) {
+        d.commit_serial();
       }
       throw;
     }
@@ -278,7 +266,12 @@ auto atomically(F&& fn) -> std::invoke_result_t<F&> {
 
 // Run `fn` irrevocably: no other transaction (optimistic or serial) runs
 // concurrently, and `fn` may perform I/O or other non-undoable actions.
-// This is the paper's "relaxed transaction" (§5.4).
+// This is the paper's "relaxed transaction" (§5.4).  It cannot roll back,
+// so an exception escaping `fn` commits what ran and then propagates
+// (GCC libitm's rule for irrevocable transactions); so does one escaping
+// the irrevocable continuation of a split WAIT.  Nested inside an
+// atomically() that escalated to the serial lock, `fn` joins that
+// undo-logged attempt and aborts with it.
 template <typename F>
 auto irrevocably(F&& fn) -> std::invoke_result_t<F&> {
   using R = std::invoke_result_t<F&>;

@@ -71,7 +71,7 @@ void cm_note_serial_escalation(std::uint16_t site) noexcept;
 // the global fallback pressure (floor 1).
 [[nodiscard]] int htm_attempt_budget() noexcept;
 
-// A hardware path gave up (fell back to software or the serial lock).
+// A hardware path gave up (fell back to the serial lock).
 void note_htm_fallback() noexcept;
 
 // A hardware transaction committed; sustained success decays the pressure.

@@ -13,7 +13,6 @@
 #include "tm/serial.h"
 #include "util/backoff.h"
 #include "util/cacheline.h"
-#include "util/rng.h"
 
 namespace tmcv::tm {
 
@@ -39,15 +38,13 @@ const char* to_string(Backend b) noexcept {
       return "HTM";
     case Backend::NOrec:
       return "NOrec";
-    case Backend::Hybrid:
-      return "Hybrid";
   }
   return "?";
 }
 
 // The stats matrix axes must track the enums they label: one row per
-// backend a descriptor runs, which excludes the trailing Hybrid request.
-static_assert(static_cast<std::size_t>(Backend::Hybrid) == kStatsBackends);
+// backend, NOrec last.
+static_assert(static_cast<std::size_t>(Backend::NOrec) + 1 == kStatsBackends);
 static_assert(static_cast<std::size_t>(TxAbort::Reason::RetryWait) + 1 ==
               kStatsAbortReasons);
 
@@ -59,8 +56,6 @@ const char* backend_label(Backend b) noexcept {
       return "htm";
     case Backend::NOrec:
       return "norec";
-    case Backend::Hybrid:
-      return "hybrid";
   }
   return "?";
 }
@@ -70,8 +65,6 @@ bool backend_from_label(const char* s, Backend& out) noexcept {
     out = Backend::EagerSTM;
   else if (std::strcmp(s, "htm") == 0)
     out = Backend::HTM;
-  else if (std::strcmp(s, "hybrid") == 0)
-    out = Backend::Hybrid;
   else if (std::strcmp(s, "norec") == 0)
     out = Backend::NOrec;
   else
@@ -227,8 +220,6 @@ void TxDescriptor::begin_top(Backend b, std::uint32_t depth) {
   // transaction that begins after the drain is guaranteed to observe the
   // new default -- no orec-family transaction can overlap a NOrec one.
   b = resolve_backend(b);
-  // Hybrid is a retry-loop request; a descriptor only runs its rungs.
-  TMCV_DEBUG_ASSERT(b != Backend::Hybrid);
   state_ = TxState::Optimistic;
   backend_ = b;
   depth_ = depth;
@@ -286,8 +277,11 @@ void TxDescriptor::commit_top() {
   run_commit_handlers();
 }
 
-void TxDescriptor::abort_restart(TxAbort::Reason reason) {
-  TMCV_ASSERT(state_ == TxState::Optimistic);
+void TxDescriptor::abort_restart(TxAbort::Reason reason,
+                                 std::uint64_t retry_signal) {
+  TMCV_ASSERT_MSG(can_roll_back(),
+                  "irrevocable transactions cannot roll back");
+  // A serial attempt counts on the row of the backend it escalated from.
   counters::bump(stats_.aborts_by_backend[static_cast<std::size_t>(backend_)]
                                          [static_cast<std::size_t>(reason)]);
   cm_.note_abort(reason);
@@ -303,9 +297,9 @@ void TxDescriptor::abort_restart(TxAbort::Reason reason) {
     if (reason == TxAbort::Reason::Conflict) {
       // Name the attacker through the owning descriptor of the culprit orec
       // (racy-but-approximate: the owner may have moved on; the victim and
-      // stripe halves are exact).  Conflicts with no captured orec (chaos
-      // aborts, CAS races) attribute to site 0 so the pair counts still sum
-      // to aborts_conflict.
+      // stripe halves are exact).  Conflicts with no captured orec (CAS
+      // races) attribute to site 0 so the pair counts still sum to
+      // aborts_conflict.
       std::uint16_t attacker = obs::kUnattributedSite;
       if (attr_owner_slot_ != kNoConflictOrec) {
         if (const TxDescriptor* a = registry().descriptor(attr_owner_slot_))
@@ -323,55 +317,39 @@ void TxDescriptor::abort_restart(TxAbort::Reason reason) {
 #endif
   rollback();
   run_abort_handlers();
+  if (state_ == TxState::Serial)
+    g_serial.release();
+  else
+    activity_end();
   state_ = TxState::Idle;
   depth_ = 0;
-  activity_end();
   counters::bump(stats_.aborts);
 #if TMCV_TRACE
   obs::region_end(obs::Event::kTxnAbort, txn_begin_ticks_,
                   &obs::hist_txn_abort(),
                   static_cast<std::uint16_t>(reason));
 #endif
-  throw TxAbort{reason};
+  TxAbort abort{reason};
+  abort.retry_signal = retry_signal;
+  throw abort;
 }
 
 void TxDescriptor::retry_and_wait() {
-  const bool serial = state_ == TxState::Serial;
-  TMCV_ASSERT_MSG(
-      state_ == TxState::Optimistic || (serial && serial_undoable_),
-      "retry_wait requires an optimistic transaction "
-      "(irrevocable transactions cannot roll back)");
+  TMCV_ASSERT_MSG(can_roll_back(),
+                  "retry_wait requires a transaction that can roll back "
+                  "(irrevocable transactions cannot)");
   // Observe the signal BEFORE validating: any commit that could invalidate
   // the predicate decision lands after our snapshot and therefore bumps a
   // value we have already captured -- the sleep then returns immediately.
   // (A serial section holds the lock: nothing commits until it lets go.)
   const std::uint32_t observed =
       g_commit_signal->load(std::memory_order_seq_cst);
-  if (!serial && !reads_valid()) abort_restart(TxAbort::Reason::Conflict);
-  rollback();  // serial: logs are empty, this only drops queued notifies
-  run_abort_handlers();
-  state_ = TxState::Idle;
-  depth_ = 0;
-  if (serial)
-    g_serial.release();
-  else
-    activity_end();
-  counters::bump(stats_.aborts);
-  counters::bump(
-      stats_.aborts_by_backend[static_cast<std::size_t>(backend_)][static_cast<
-          std::size_t>(TxAbort::Reason::RetryWait)]);
-#if TMCV_TRACE
-  obs::attr_record_abort(txn_site(), obs::kAttrReasonRetryWait);
-  obs::region_end(obs::Event::kTxnAbort, txn_begin_ticks_,
-                  &obs::hist_txn_abort(),
-                  static_cast<std::uint16_t>(TxAbort::Reason::RetryWait));
-#endif
-  TxAbort abort{TxAbort::Reason::RetryWait};
-  abort.retry_signal = observed;
-  throw abort;
+  if (state_ == TxState::Optimistic && !reads_valid())
+    abort_restart(TxAbort::Reason::Conflict);
+  abort_restart(TxAbort::Reason::RetryWait, observed);
 }
 
-void TxDescriptor::begin_serial(std::uint32_t depth, bool undoable) {
+void TxDescriptor::begin_serial(std::uint32_t depth, bool undo) {
   TMCV_ASSERT_MSG(state_ == TxState::Idle,
                   "cannot upgrade an active optimistic transaction; declare "
                   "irrevocability at the outermost begin");
@@ -390,11 +368,12 @@ void TxDescriptor::begin_serial(std::uint32_t depth, bool undoable) {
   state_ = TxState::Serial;
   depth_ = depth;
   split_done_ = false;
-  serial_undoable_ = undoable;
+  serial_undo_ = undo;
 }
 
 void TxDescriptor::commit_serial() {
   TMCV_ASSERT(state_ == TxState::Serial);
+  undo_log_.clear();
   state_ = TxState::Idle;
   depth_ = 0;
   g_serial.release();
@@ -445,20 +424,8 @@ std::uint64_t TxDescriptor::read_word_slow(
   return addr->load(std::memory_order_acquire);
 }
 
-void TxDescriptor::maybe_chaos_abort() {
-  if (backend_ != Backend::HTM) return;
-  const std::uint32_t rate = htm_chaos_per_million();
-  if (rate == 0) return;
-  thread_local Xoshiro256 rng(0xC4405u + slot_);
-  if (rng.next_below(1000000) < rate) {
-    counters::bump(stats_.htm_chaos_aborts);
-    abort_restart(TxAbort::Reason::Conflict);
-  }
-}
-
 std::uint64_t TxDescriptor::read_optimistic(
     const std::atomic<std::uint64_t>* addr) {
-  maybe_chaos_abort();
   const Orec& o = orec_for(addr);
   for (;;) {
     const OrecWord seen = o.load(std::memory_order_acquire);
@@ -512,7 +479,11 @@ void TxDescriptor::write_word_slow(std::atomic<std::uint64_t>* addr,
       addr->store(value, std::memory_order_release);
       return;
     case TxState::Serial:
-      serial_undoable_ = false;
+      // The serial lock excludes every other transaction, so the undo
+      // entry needs no orec: rollback restores it before the lock goes.
+      if (serial_undo_)
+        undo_log_.push_back(
+            UndoEntry{addr, addr->load(std::memory_order_relaxed)});
       addr->store(value, std::memory_order_release);
       return;
     case TxState::Optimistic:
@@ -531,9 +502,10 @@ void TxDescriptor::write_word_slow(std::atomic<std::uint64_t>* addr,
 // ---------------------------------------------------------------------------
 
 void TxDescriptor::rollback() noexcept {
-  // Write-through backends (eager, HTM): undo in reverse so overlapping
-  // writes restore the oldest value last.  NOrec publishes nothing
-  // speculatively and never locks a stripe or appends to the undo log.
+  // Write-through backends (eager, HTM) and the escalated serial attempt:
+  // undo in reverse so overlapping writes restore the oldest value last.
+  // NOrec publishes nothing speculatively and never locks a stripe or
+  // appends to the undo log.
   for (auto it = undo_log_.rbegin(); it != undo_log_.rend(); ++it)
     it->addr->store(it->old_value, std::memory_order_release);
   if (!lock_set_.empty()) {
@@ -680,20 +652,6 @@ void TxDescriptor::run_abort_handlers() noexcept {
 void TxDescriptor::syscall_fence() {
   if (state_ == TxState::Optimistic && backend_ == Backend::HTM)
     abort_restart(TxAbort::Reason::Syscall);
-}
-
-namespace {
-
-std::atomic<std::uint32_t> g_htm_chaos_per_million{0};
-
-}  // namespace
-
-void TxDescriptor::set_htm_chaos_per_million(std::uint32_t rate) noexcept {
-  g_htm_chaos_per_million.store(rate, std::memory_order_release);
-}
-
-std::uint32_t TxDescriptor::htm_chaos_per_million() noexcept {
-  return g_htm_chaos_per_million.load(std::memory_order_acquire);
 }
 
 // ---------------------------------------------------------------------------

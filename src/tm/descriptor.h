@@ -15,7 +15,9 @@
 //               to the serial lock after a few attempts (RTM + lock-elision
 //               stand-in).
 //
-// plus the Serial state for irrevocable/relaxed transactions.
+// plus the Serial state: irrevocable/relaxed transactions, and the serial
+// attempt the retry loop escalates to, which undo-logs its writes so it can
+// still roll back.
 //
 // Aborts are signalled by throwing TxAbort after the descriptor has rolled
 // back; the retry loop lives in tm::atomically (api.h).
@@ -47,16 +49,11 @@ enum class Backend : std::uint8_t {
   // are validated by value against a single global commit counter; writes
   // buffer in the redo log and write back while holding the counter.
   NOrec,
-  // Hybrid TM (the deployment real RTM systems use) is a request, not a
-  // backend a descriptor runs: the retry loop in tm::atomically expands it
-  // into hardware attempts, then EagerSTM, then the serial lock.  Last, so
-  // the runnable backends index the stats matrix densely (kStatsBackends).
-  Hybrid,
 };
 
 [[nodiscard]] const char* to_string(Backend b) noexcept;
 
-// Lowercase flag/metrics label ("eager", "htm", "hybrid", "norec").
+// Lowercase flag/metrics label ("eager", "htm", "norec").
 [[nodiscard]] const char* backend_label(Backend b) noexcept;
 
 // Parse a lowercase label back to a Backend; false on unknown input.
@@ -104,23 +101,34 @@ class TxDescriptor {
   // Throws TxAbort if validation fails (after rolling back).
   void commit_top();
 
-  // Roll back and throw TxAbort (optimistic transactions only).
-  [[noreturn]] void abort_restart(TxAbort::Reason reason);
+  // Roll back and throw TxAbort (requires can_roll_back()).  `retry_signal`
+  // rides along on a RetryWait abort (see retry_and_wait).
+  [[noreturn]] void abort_restart(TxAbort::Reason reason,
+                                  std::uint64_t retry_signal = 0);
+
+  // An optimistic attempt, or a serial one that undo-logs its writes (the
+  // retry loop's escalated attempt): the states abort_restart can undo.
+  [[nodiscard]] bool can_roll_back() const noexcept {
+    return state_ == TxState::Optimistic ||
+           (state_ == TxState::Serial && serial_undo_);
+  }
 
   // Harris-style retry (paper §6/§7): validate the snapshot, roll back,
   // and throw a RetryWait abort carrying the current commit-signal value;
   // the retry loop sleeps until some writing commit bumps the signal, then
   // re-runs the closure.  Coarse (any commit wakes) but lost-wakeup-free:
   // the signal is observed before validation, so no commit that could have
-  // changed the predicate is missed.  Also legal in an `undoable` serial
-  // section before its first write: it gives the serial lock back.
+  // changed the predicate is missed.  In an escalated serial attempt it
+  // undoes the writes and gives the serial lock back.
   [[noreturn]] void retry_and_wait();
 
   // ---- serial / irrevocable ----
 
-  // `undoable`: the retry loop escalated here, so retry_and_wait may
-  // abandon the section until its first write.
-  void begin_serial(std::uint32_t depth = 1, bool undoable = false);
+  // `undo`: the retry loop escalated here, so the section logs an undo
+  // entry per write and can roll back like the optimistic attempts before
+  // it.  Irrevocable sections (tm::irrevocably, a split WAIT's
+  // continuation) pass false: they commit whatever ran.
+  void begin_serial(std::uint32_t depth = 1, bool undo = false);
   void commit_serial();
 
   // ---- early commit & split transactions (WAIT support, paper §3.2/§4.2) --
@@ -236,13 +244,6 @@ class TxDescriptor {
   // HTM emulation capacities (exposed for tests/benchmarks).
   static constexpr std::size_t kHtmReadCapacity = 1024;
   static constexpr std::size_t kHtmWriteCapacity = 64;
-
-  // Chaos injection for the HTM emulation: real hardware transactions
-  // abort asynchronously (timer interrupts, cache evictions, TLB misses);
-  // setting a nonzero rate makes every HTM data access abort with
-  // probability rate/1e6, exercising fallback robustness.  0 disables.
-  static void set_htm_chaos_per_million(std::uint32_t rate) noexcept;
-  [[nodiscard]] static std::uint32_t htm_chaos_per_million() noexcept;
 
  private:
   struct ReadEntry {
@@ -439,10 +440,6 @@ class TxDescriptor {
   [[nodiscard]] bool reads_valid_orec() const noexcept;
   [[nodiscard]] bool reads_valid_norec() const noexcept;
 
-  // Roll an injected asynchronous abort for HTM accesses (no-op when the
-  // chaos rate is 0 or the backend is not HTM).
-  void maybe_chaos_abort();
-
   [[nodiscard]] bool orec_locked_by_me(OrecWord w) const noexcept {
     return orec_is_locked(w) && orec_owner_slot(w) == slot_;
   }
@@ -474,7 +471,7 @@ class TxDescriptor {
   std::uint32_t depth_ = 0;
   std::uint32_t saved_depth_ = 0;
   bool split_done_ = false;
-  bool serial_undoable_ = false;  // see begin_serial
+  bool serial_undo_ = false;  // see begin_serial
   std::uint64_t start_time_ = 0;
 
   // Read set: a manually managed buffer instead of std::vector so note_read
@@ -605,8 +602,8 @@ inline std::uint64_t TxDescriptor::read_word(
     }
     return read_norec_slow(addr);
   }
-  // HTM models chaos aborts and a footprint cap on every read: keep the
-  // whole protocol out-of-line.
+  // HTM models a footprint cap on every read: keep the whole protocol
+  // out-of-line.
   if (backend_ == Backend::HTM) [[unlikely]]
     return read_optimistic(addr);
   // Inline orec_for so the stripe index is computed once and shared between

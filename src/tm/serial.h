@@ -1,8 +1,9 @@
 // The serial (irrevocable) lock.
 //
 // Purpose (paper §3.2 / §5.4): transactions that cannot roll back — relaxed
-// transactions performing I/O, continuations run irrevocably after a WAIT,
-// and the HTM fallback path — acquire this lock, drain all in-flight
+// transactions performing I/O, continuations run irrevocably after a WAIT —
+// and the retry loop's escalated attempt (every backend's fallback, which
+// only undo-logs its writes) acquire this lock, drain all in-flight
 // optimistic transactions, and then run with uninstrumented memory accesses.
 // While it is held, no optimistic transaction may begin; this is precisely
 // the "relaxed transactions cannot run in parallel with any other

@@ -17,8 +17,7 @@ namespace tmcv::tm {
 
 // Dimensions of the per-backend abort matrix below.  Kept as plain
 // constants (not the Backend / TxAbort::Reason enums) so stats.h stays
-// header-light; descriptor.cpp static_asserts they match the enums.  Rows
-// are the backends a descriptor runs (Hybrid is a retry-loop request).
+// header-light; descriptor.cpp static_asserts they match the enums.
 inline constexpr std::size_t kStatsBackends = 3;      // eager htm norec
 inline constexpr std::size_t kStatsAbortReasons = 5;  // conflict capacity syscall explicit retry_wait
 
@@ -41,7 +40,6 @@ struct Stats : counters::Family<Stats> {
   std::uint64_t extensions = 0;        // successful timestamp extensions
   std::uint64_t serial_commits = 0;    // irrevocable/relaxed sections
   std::uint64_t serial_fallbacks = 0;  // optimistic -> serial escalations
-  std::uint64_t htm_chaos_aborts = 0;  // injected asynchronous aborts
   std::uint64_t handlers_run = 0;      // onCommit handlers executed
 
   // Contention-management instrumentation.
@@ -112,7 +110,6 @@ struct Stats : counters::Family<Stats> {
     fn("extensions", &Stats::extensions);
     fn("serial_commits", &Stats::serial_commits);
     fn("serial_fallbacks", &Stats::serial_fallbacks);
-    fn("htm_chaos_aborts", &Stats::htm_chaos_aborts);
     fn("handlers_run", &Stats::handlers_run);
     fn("aborts_by_backend", &Stats::aborts_by_backend);
     fn("clock_cas_reuses", &Stats::clock_cas_reuses);

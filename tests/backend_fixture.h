@@ -2,8 +2,8 @@
 // overriding both the compiled-in NOrec default and the
 // TMCV_DEFAULT_BACKEND environment seed (the CI eager matrix leg exports it
 // for the whole suite).  Tests that assert orec- or HTM-specific mechanics
-// -- fastpath read-set shapes, HTM capacity/chaos/hysteresis, hybrid
-// fallback budgets -- include this header: under a NOrec default the
+// -- fastpath read-set shapes, HTM capacity and hysteresis, contention
+// manager escalation -- include this header: under a NOrec default the
 // family override coerces every transaction to NOrec, so those mechanics
 // never engage and their assertions are vacuously wrong.
 //

@@ -27,6 +27,14 @@ namespace counters = tmcv::counters;
 
 namespace {
 
+std::size_t occurrences(const std::string& hay, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = hay.find(needle); at != std::string::npos;
+       at = hay.find(needle, at + needle.size()))
+    ++n;
+  return n;
+}
+
 class ObsMetricsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -72,13 +80,13 @@ TEST_F(ObsMetricsTest, JsonExporterShape) {
         "\"p999\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
-  // The abort matrix has one row per backend a descriptor runs, in enum
-  // order; a Hybrid request is a retry ladder and has no row.
+  // The abort matrix has one row per backend, in enum order, and no other.
   EXPECT_NE(json.find("\"aborts_by_backend\": {\"eager\": {"),
             std::string::npos);
   for (const char* row : {"\"htm\": {", "\"norec\": {"})
     EXPECT_NE(json.find(row), std::string::npos) << "missing row " << row;
-  EXPECT_EQ(json.find("\"hybrid\": {"), std::string::npos);
+  EXPECT_EQ(occurrences(json, "{\"conflict\": "),
+            tmcv::tm::kStatsBackends);
 }
 
 TEST_F(ObsMetricsTest, PrometheusExporterShape) {
@@ -94,8 +102,8 @@ TEST_F(ObsMetricsTest, PrometheusExporterShape) {
   }
   EXPECT_NE(prom.find("tmcv_tm_aborts_total{backend=\"norec\",reason="),
             std::string::npos);
-  EXPECT_EQ(prom.find("tmcv_tm_aborts_total{backend=\"hybrid\""),
-            std::string::npos);
+  EXPECT_EQ(occurrences(prom, "tmcv_tm_aborts_total{backend="),
+            tmcv::tm::kStatsBackends * tmcv::tm::kStatsAbortReasons);
 }
 
 TEST_F(ObsMetricsTest, WriteFilesAndChromeTrace) {

@@ -2,11 +2,14 @@
 // nesting, handlers, return values, irrevocability, backends.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "backend_param.h"
 #include "tm/api.h"
+#include "tm/serial.h"
 #include "tm/var.h"
 
 namespace tmcv::tm {
@@ -85,6 +88,45 @@ TEST_P(TmBackends, UserExceptionAbortsAndPropagates) {
   // The speculative write must have been rolled back.
   EXPECT_EQ(x.load(), 5);
   EXPECT_FALSE(in_txn());
+}
+
+// The serial lock, the ladder's last rung, is all-or-nothing too: a closure
+// that escalates and then throws leaves memory as it found it and the lock
+// free.  HTM escalates on its capacity overflow; the STMs once the closure
+// has spent their attempt budget on self-aborts.
+TEST_P(TmBackends, EscalatedAttemptRollsBackOnException) {
+  stats_reset();
+  constexpr std::size_t kVars = TxDescriptor::kHtmWriteCapacity + 8;
+  std::vector<std::unique_ptr<var<int>>> vars;
+  for (std::size_t i = 0; i < kVars; ++i)
+    vars.push_back(std::make_unique<var<int>>(0));
+  bool escalated = false;
+  EXPECT_THROW(atomically(GetParam(),
+                          [&] {
+                            for (auto& v : vars) v->store(v->load() + 1);
+                            if (descriptor().state() != TxState::Serial)
+                              retry_txn();
+                            escalated = true;
+                            throw std::runtime_error("after escalating");
+                          }),
+               std::runtime_error);
+  EXPECT_TRUE(escalated);
+  for (const auto& v : vars) EXPECT_EQ(v->load_plain(), 0);
+  EXPECT_FALSE(in_txn());
+  EXPECT_FALSE(serial_lock().held());
+  Stats s = stats_snapshot();
+  EXPECT_EQ(s.serial_fallbacks, 1u);
+  EXPECT_EQ(s.serial_commits, 0u);
+  if (GetParam() == Backend::HTM)
+    EXPECT_EQ(s.aborts_capacity(), 1u);
+  else
+    EXPECT_EQ(s.aborts_explicit(), static_cast<std::uint64_t>(
+                                       kStmAttemptsBeforeSerial + 1));
+  // The next transaction runs and commits as usual.
+  atomically(GetParam(), [&] { vars[0]->store(7); });
+  EXPECT_EQ(vars[0]->load_plain(), 7);
+  s = stats_snapshot();
+  EXPECT_EQ(s.serial_commits, 0u);
 }
 
 TEST_P(TmBackends, OnCommitRunsAfterCommit) {

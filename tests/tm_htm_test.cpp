@@ -26,7 +26,7 @@ TEST(TmHtm, WriteCapacityAbortFallsBackToSerial) {
     vars.push_back(std::make_unique<var<int>>(0));
   // Too many writes for a hardware transaction: the one hardware attempt
   // takes a capacity abort, and Backend::HTM goes straight to the serial
-  // lock (no software rung: that is Backend::Hybrid's ladder).
+  // lock, its only fallback (the paper's Figure 2 configuration).
   atomically(Backend::HTM, [&] {
     for (std::size_t i = 0; i < kVars; ++i) vars[i]->store(1);
   });

@@ -144,11 +144,11 @@ TEST_F(TmNorec, RetryWaitWakesOnNorecCommit) {
 }
 
 // Family override, NOrec-default side: every request -- including explicit
-// orec-family and Hybrid requests -- runs NOrec while the default is NOrec.
+// EagerSTM and HTM requests -- runs NOrec while the default is NOrec.
 TEST_F(TmNorec, FamilyOverrideCoercesExplicitRequests) {
   tm::var<int> x(0);
   tm::atomically(Backend::EagerSTM, [&] { x.store(x.load() + 1); });
-  tm::atomically(Backend::Hybrid, [&] { x.store(x.load() + 1); });
+  tm::atomically(Backend::HTM, [&] { x.store(x.load() + 1); });
   EXPECT_EQ(x.load_plain(), 2);
   const tm::Stats s = tm::stats_snapshot();
   EXPECT_EQ(s.norec_commits, 2u);

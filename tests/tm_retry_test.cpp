@@ -98,11 +98,12 @@ TEST_P(TmRetry, RetryingReaderSeesConsistentSnapshots) {
 }
 
 // The retry loop cannot know a closure will wait, so it may escalate one
-// to the serial lock before its first retry_wait.  Until that serial
-// section writes, retry_wait gives the lock back and waits like an
-// optimistic transaction instead of tripping the irrevocability assert.
-TEST_P(TmRetry, EscalatedClosureWaitsBeforeItsFirstWrite) {
+// to the serial lock before its retry_wait.  The escalated attempt
+// undo-logs its writes, so retry_wait there undoes them, gives the lock
+// back and waits like an optimistic transaction.
+TEST_P(TmRetry, EscalatedClosureWritesThenWaits) {
   var<bool> flag(false);
+  var<int> before_wait(0);
   var<int> seen(0);
   std::atomic<bool> escalated{false};
   std::thread waiter([&] {
@@ -111,6 +112,7 @@ TEST_P(TmRetry, EscalatedClosureWaitsBeforeItsFirstWrite) {
         escalated.store(true);
       else if (!escalated.load())
         retry_txn();  // spend the attempt budget until the loop escalates
+      before_wait.store(before_wait.load() + 1);
       if (!flag.load()) retry_wait();
       seen.store(seen.load() + 1);
     });
@@ -119,6 +121,8 @@ TEST_P(TmRetry, EscalatedClosureWaitsBeforeItsFirstWrite) {
   atomically([&] { flag.store(true); });
   waiter.join();
   EXPECT_EQ(seen.load(), 1);
+  // Only the committed attempt's write survives; the serial one was undone.
+  EXPECT_EQ(before_wait.load(), 1);
 }
 
 TEST(TmRetryGuards, RetryWaitOutsideTransactionAsserts) {

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <iterator>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -55,13 +56,14 @@ TEST(TmDefault, FigureSectionRunsHtmThenRestoresNOrec) {
   tm::set_default_backend(Backend::NOrec);
 
   tm::var<int> x(0);
-  // The backend of the attempt that committed, or Hybrid for a serial one.
+  // The backend of the attempt that committed, or nullopt for a serial one.
   const auto committed_on = [&] {
-    Backend ran = Backend::Hybrid;
+    std::optional<Backend> ran;
     tm::atomically([&] {
       const tm::TxDescriptor& d = tm::descriptor();
-      ran = d.state() == tm::TxState::Optimistic ? d.backend()
-                                                  : Backend::Hybrid;
+      ran = d.state() == tm::TxState::Optimistic
+                ? std::optional<Backend>(d.backend())
+                : std::nullopt;
       x.store(x.load() + 1);
     });
     return ran;

@@ -2,7 +2,7 @@
 // sequential semantics against a std::map oracle, multi-thread
 // conservation, range-scan snapshot consistency under concurrent writers,
 // abort rollback of structural links, and counter exactness -- all run
-// under the eager/NOrec backend matrix.
+// under the eager/HTM/NOrec backend matrix.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -36,11 +36,9 @@ class OrderedBackends : public test::BackendParamTest {
   }
 };
 
-// No HTM leg: the abort-rollback cases overflow the emulated hardware
-// capacity, and the serial fallback that takes over is irrevocable, so a
-// user exception there commits what ran (tm::atomically's documented rule).
 INSTANTIATE_TEST_SUITE_P(AllBackends, OrderedBackends,
-                         ::testing::Values(Backend::EagerSTM, Backend::NOrec),
+                         ::testing::Values(Backend::EagerSTM, Backend::HTM,
+                                           Backend::NOrec),
                          [](const auto& info) {
                            return std::string(tm::to_string(info.param));
                          });

@@ -284,8 +284,7 @@ _FIX_METRICS = {
              "uptime_seconds": 12.5},
     "tm": {"backend": "norec", "commits": 1000, "aborts": 200,
            "aborts_conflict": 180,
-           # One row per backend a descriptor runs, in exporter order
-           # (Hybrid is a retry-loop request, never a row).
+           # One row per backend, in exporter order.
            "aborts_by_backend": {
                "eager": {"conflict": 0, "capacity": 0, "syscall": 0,
                          "explicit": 0, "retry_wait": 0},
