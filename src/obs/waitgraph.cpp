@@ -1,5 +1,5 @@
 // Wait-for graph implementation: seqlock-validated slot snapshots, edge
-// resolution against the live orec table / TM registry / condvar registry,
+// resolution against the TM registry / condvar registry,
 // functional-graph cycle detection, and the per-episode lost-wakeup
 // detector the time-series probe advances.
 #include "obs/waitgraph.h"
@@ -9,7 +9,6 @@
 
 #include "core/condvar.h"
 #include "obs/attribution.h"
-#include "tm/orec.h"
 #include "tm/stats.h"
 #include "util/timing.h"
 
@@ -124,21 +123,11 @@ void collect_rows_edges(WaitGraph& g) {
           e.holder_site = last_notify_site;
         break;
       }
-      case WaitReason::kOrec: {
-        // Re-read the contested stripe: if it is still locked the current
-        // owner is authoritative; otherwise keep the publish-time owner
-        // site (the wait is about to resolve anyway).
-        const tm::OrecWord w =
-            tm::orec_at(r.detail).load(std::memory_order_relaxed);
-        if (tm::orec_is_locked(w))
-          e.holder = find_tm_row(g, tm::orec_owner_slot(w));
-        break;
-      }
       case WaitReason::kSerialQuiesce:
         e.holder = find_tm_row(g, r.detail);
         break;
       default:
-        break;  // semaphore / serial lock: site only
+        break;  // semaphore / serial lock / orec (no producer): site only
     }
     if (e.holder == static_cast<std::int32_t>(i)) e.holder = -1;
     g.edges[g.edge_count++] = e;
@@ -299,7 +288,6 @@ WaitProbe waitgraph_probe() {
           }
           break;
         }
-        case WaitReason::kOrec:
         case WaitReason::kSerialQuiesce:
         case WaitReason::kSerialLock:
           // These are bounded drain/handoff waits that resolve in

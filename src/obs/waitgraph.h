@@ -9,11 +9,10 @@
 //     seqlock-validated so a row is either a stable parked state with an
 //     exact age or marked running -- never a torn mix;
 //   * a waiter -> holder edge set (`/waitgraph`): condvar waiters point at
-//     their condvar's last notifier site, orec waiters at the thread whose
-//     registry slot holds the contested stripe (re-read at snapshot time),
-//     serial quiescers at the transaction they are draining.  Edges whose
-//     holder is itself a waiter form a functional graph; cycles are
-//     detected and counted (a wait cycle is a deadlock in the making);
+//     their condvar's last notifier site, serial quiescers at the
+//     transaction they are draining.  Edges whose holder is itself a
+//     waiter form a functional graph; cycles are detected and counted (a
+//     wait cycle is a deadlock in the making);
 //   * a lost-wakeup heuristic: a condvar waiter whose park episode has
 //     outlived `stuck_windows` probe ticks, whose condvar was being
 //     notified before the episode began but saw ZERO notifies during it,
@@ -56,8 +55,7 @@ struct ThreadRow {
 // One waiter -> holder edge.  Exactly one per waiting row: `holder` is an
 // index into rows when the blocker resolved to a live thread, else -1 with
 // `holder_site` naming the site the waiter is blocked on (condvar: the
-// last notifier's site; orec with a since-released stripe: the owner site
-// captured at publish time).
+// last notifier's site; otherwise the site captured at publish time).
 struct WaitEdge {
   std::uint32_t waiter = 0;
   std::int32_t holder = -1;

@@ -7,10 +7,11 @@
 // A precedes B) in which every operation's observed result matches the
 // model's sequential answer.
 //
-// Used by the container tests to validate TxQueue/TxStack against their
-// sequential specifications on real recorded executions, complementing the
-// invariant-style concurrency tests.  Histories are kept small (the search
-// is exponential in the worst case; real-time constraints prune heavily).
+// Used by tests/linearizability_test.cpp to validate apps::BoundedQueue
+// against its sequential specification on real recorded executions,
+// complementing the invariant-style concurrency tests.  Histories are kept
+// small (the search is exponential in the worst case; real-time constraints
+// prune heavily).
 #pragma once
 
 #include <cstdint>

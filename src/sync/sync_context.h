@@ -34,7 +34,7 @@ class SyncContext {
   [[nodiscard]] virtual bool is_transactional() const noexcept = 0;
 };
 
-// Type-erased reference to any Lockable (std::mutex, FutexLock, TasLock...).
+// Type-erased reference to any Lockable (std::mutex, std::shared_mutex...).
 // Small enough to pass by value; never owns the lock.
 class LockRef {
  public:

@@ -64,10 +64,9 @@ inline constexpr std::uint32_t kMaxWaitSlots = 512;
 inline constexpr std::uint32_t kStallSiteSlots = 256;
 
 // reason(8) | site(16) | detail(32), packed so one relaxed store publishes
-// all three.  `detail` is reason-specific: orec -> stripe index and the
-// owner's registry slot is re-derivable from the stripe; serial quiesce ->
-// the registry slot being drained; condvar -> the waiter's own txn site is
-// already in `site` and detail is unused.
+// all three.  `detail` is reason-specific: serial quiesce -> the registry
+// slot being drained; condvar -> the waiter's own txn site is already in
+// `site` and detail is unused.
 [[nodiscard]] constexpr std::uint64_t pack_wait_info(
     WaitReason reason, std::uint16_t site, std::uint32_t detail) noexcept {
   return (static_cast<std::uint64_t>(reason) << 48) |

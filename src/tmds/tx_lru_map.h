@@ -7,7 +7,7 @@
 // shard still spread across its buckets and -- the property the sharding
 // exists for -- a transaction touches exactly one shard, making cross-shard
 // conflicts structurally impossible for single-key operations.  Each shard
-// is a chained hash table (the tx_hashmap.h shape) whose nodes are
+// is a chained hash table with a fixed bucket array whose nodes are
 // additionally threaded on an intrusive doubly-linked recency list:
 // head = most recent, tail = eviction victim.
 //

@@ -95,7 +95,7 @@ class TxSkipList {
     });
   }
 
-  // Family-consistent alias (TxHashMap::put semantics).
+  // Alias with TxLruMap::put's signature and result.
   bool put(K key, V value) { return insert(key, value); }
 
   // Remove; false if absent.

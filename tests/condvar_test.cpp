@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -12,7 +13,6 @@
 
 #include "core/condvar.h"
 #include "core/legacy_cv.h"
-#include "sync/locks.h"
 #include "waitpoint_probe.h"
 
 namespace tmcv {
@@ -375,16 +375,17 @@ TEST(LegacyCv, ProducerConsumerWithPredicateLoop) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(LegacyCv, WorksWithFutexLock) {
+// condition_variable takes any Lockable, not only std::mutex.
+TEST(LegacyCv, WorksWithSharedMutex) {
   condition_variable cv;
-  FutexLock m;
+  std::shared_mutex m;
   bool flag = false;
   std::thread waiter([&] {
-    std::unique_lock<FutexLock> lk(m);
+    std::unique_lock<std::shared_mutex> lk(m);
     cv.wait(lk, [&] { return flag; });
   });
   {
-    std::unique_lock<FutexLock> lk(m);
+    std::unique_lock<std::shared_mutex> lk(m);
     flag = true;
   }
   cv.notify_one();

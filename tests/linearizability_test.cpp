@@ -1,4 +1,4 @@
-// Linearizability of the transactional containers, checked on real
+// Linearizability of the pipelines' apps::BoundedQueue, checked on real
 // recorded concurrent executions with a Wing & Gong search, plus unit
 // tests of the checker itself on known histories.
 #include <gtest/gtest.h>
@@ -9,10 +9,10 @@
 #include <thread>
 #include <vector>
 
+#include "apps/bounded_queue.h"
+#include "backend_param.h"
 #include "sched/linearizability.h"
 #include "tm/api.h"
-#include "tmds/tx_queue.h"
-#include "tmds/tx_stack.h"
 
 namespace tmcv::sched {
 namespace {
@@ -119,7 +119,7 @@ TEST(Checker, RejectsDoubleDequeueOfSameValue) {
   EXPECT_FALSE(is_linearizable(h, SeqQueue{}));
 }
 
-// ---- recorded executions of the real containers ----
+// ---- recorded executions of the shipped queue ----
 
 template <typename Structure>
 std::vector<LinOp> record_history(Structure& s, int threads,
@@ -153,17 +153,31 @@ std::vector<LinOp> record_history(Structure& s, int threads,
   return all;
 }
 
+// The non-blocking operations of the queue the pipelines run.  The
+// capacity covers every push a history records, so try_push never reports
+// full and each push is an unconditional enqueue of the sequential model.
+constexpr int kThreads = 3;
+constexpr int kOpsPerThread = 4;
+
+template <typename Policy>
 struct QueueAdapter {
-  tmds::TxQueue<std::uint64_t> q;
-  void insert(std::uint64_t v) { q.enqueue(v); }
-  bool remove(std::uint64_t& out) { return q.dequeue(out); }
+  apps::BoundedQueue<Policy> q{kThreads * kOpsPerThread};
+  void insert(std::uint64_t v) { EXPECT_TRUE(q.try_push(v)); }
+  bool remove(std::uint64_t& out) { return q.try_pop(out); }
 };
 
-struct StackAdapter {
-  tmds::TxStack<std::uint64_t> s;
-  void insert(std::uint64_t v) { s.push(v); }
-  bool remove(std::uint64_t& out) { return s.pop(out); }
-};
+template <typename Policy>
+void expect_fifo_histories(std::uint64_t seed) {
+  for (Backend b : {Backend::EagerSTM, Backend::HTM, Backend::NOrec}) {
+    const test::ScopedDefaultBackend pin(b);
+    QueueAdapter<Policy> adapter;
+    const auto history =
+        record_history(adapter, kThreads, kOpsPerThread, seed);
+    EXPECT_TRUE(is_linearizable(history, SeqQueue{}))
+        << Policy::name() << " backend " << tm::to_string(b) << " seed "
+        << seed;
+  }
+}
 
 class LinearizabilityRecorded
     : public ::testing::TestWithParam<std::uint64_t> {};
@@ -174,32 +188,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LinearizabilityRecorded,
                            return "seed" + std::to_string(info.param);
                          });
 
-TEST_P(LinearizabilityRecorded, TxQueueHistoriesLinearizeToFifo) {
-  const Backend saved = tm::default_backend();
-  for (Backend b :
-       {Backend::EagerSTM, Backend::HTM, Backend::NOrec}) {
-    tm::set_default_backend(b);
-    QueueAdapter adapter;
-    const auto history =
-        record_history(adapter, /*threads=*/3, /*ops=*/4, GetParam());
-    EXPECT_TRUE(is_linearizable(history, SeqQueue{}))
-        << "backend " << tm::to_string(b) << " seed " << GetParam();
-  }
-  tm::set_default_backend(saved);
+TEST_P(LinearizabilityRecorded, TxnQueueHistoriesLinearizeToFifo) {
+  expect_fifo_histories<apps::TxnPolicy>(GetParam());
 }
 
-TEST_P(LinearizabilityRecorded, TxStackHistoriesLinearizeToLifo) {
-  const Backend saved = tm::default_backend();
-  for (Backend b :
-       {Backend::EagerSTM, Backend::HTM, Backend::NOrec}) {
-    tm::set_default_backend(b);
-    StackAdapter adapter;
-    const auto history =
-        record_history(adapter, /*threads=*/3, /*ops=*/4, GetParam());
-    EXPECT_TRUE(is_linearizable(history, SeqStack{}))
-        << "backend " << tm::to_string(b) << " seed " << GetParam();
-  }
-  tm::set_default_backend(saved);
+TEST_P(LinearizabilityRecorded, TmCvQueueHistoriesLinearizeToFifo) {
+  expect_fifo_histories<apps::TmCvPolicy>(GetParam());
 }
 
 }  // namespace

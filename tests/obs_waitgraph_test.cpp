@@ -12,7 +12,6 @@
 
 #include "core/condvar.h"
 #include "obs/waitgraph.h"
-#include "sync/locks.h"
 #include "sync/semaphore.h"
 #include "sync/waitpoint.h"
 #include "tm/api.h"

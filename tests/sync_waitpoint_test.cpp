@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/condvar.h"
-#include "sync/locks.h"
 #include "sync/semaphore.h"
 #include "sync/waitpoint.h"
 #include "util/backoff.h"

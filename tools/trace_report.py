@@ -229,6 +229,13 @@ def summarize_flight(doc):
         print("  %-16s <- %-16s %d" % (p.get("victim", "?"),
                                        p.get("attacker", "?"),
                                        p.get("count", 0)))
+    # Aborts of every reason by site: the only culprit record when the
+    # aborts are explicit, capacity or syscall ones, which make no pairs.
+    sites = attr.get("abort_sites", [])
+    print("abort sites: %d" % len(sites))
+    for a in sites[:5]:
+        print("  %-16s %-10s %d" % (a.get("site", "?"), a.get("reason", "?"),
+                                    a.get("count", 0)))
     wg = doc.get("waitgraph", {})
     threads = wg.get("threads", [])
     waiting = [t for t in threads if t.get("waiting")]
@@ -576,6 +583,23 @@ def self_test():
 
     with contextlib.redirect_stdout(quiet):
         summarize_flight(flight)  # must not raise
+
+    # Only explicit aborts: no conflict pairs, so the summary must name the
+    # culprit from abort_sites.
+    explicit = copy.deepcopy(flight)
+    explicit["metrics"]["tm"]["aborts_conflict"] = 0
+    explicit["attribution_full"].update(
+        conflicts_recorded=0, conflict_pairs=[],
+        abort_sites=[{"site": "kv_loadgen.storm", "reason": "explicit",
+                      "count": 90}])
+    check("flight validate accepts explicit-only aborts",
+          not validate_flight(explicit))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        summarize_flight(explicit)
+    check("flight summary names the explicit-abort site",
+          any("kv_loadgen.storm" in line and "explicit" in line
+              and "90" in line for line in out.getvalue().splitlines()))
 
     failed = [name for name, ok in checks if not ok]
     for name in failed:
